@@ -381,7 +381,7 @@ pub fn measure_identical<E: ppa_machine::Executor>(
 /// packed u64 bit-plane backend on the T6 MCP workload. Both backends run
 /// the same micro-op stream; the table asserts they produce identical
 /// outputs and identical controller step reports, then compares host
-/// wall-clock and shows the packed backend's bus-plan cache and mask
+/// wall-clock and shows the packed backend's wired-OR plan cache and mask
 /// arena counters. Every (n, backend) cell also becomes a [`Baseline`]
 /// entry: deterministic step count, plan/arena counters, and median/MAD
 /// wall-clock over the five repetitions.
@@ -507,10 +507,11 @@ pub fn backend_run() -> BenchRun {
     t.note("width_bit_identical: true");
     t.note("outputs and per-class step reports are asserted identical before timing is");
     t.note("reported; the packed backend executes mask logic 64 PEs per u64 word");
-    t.note("(packed256: 256 PEs per 4-limb SWAR word) and reuses cached bus plans keyed");
-    t.note("by (switch-pattern fingerprint, direction, word width). At these array sizes");
-    t.note("a row fits one word at either width, so packed256 buys no wall-clock win here");
-    t.note("— it pays 4x the limb work per word (see EXPERIMENTS.md).");
+    t.note("(packed256: 256 PEs per 4-limb SWAR word), broadcasts without bus plans and");
+    t.note("reuses cached wired-OR plans keyed by (switch-pattern fingerprint, direction,");
+    t.note("word width). At these array sizes a row fits one word at either width, so");
+    t.note("packed256 buys no wall-clock win here — it pays 4x the limb work per word");
+    t.note("(see EXPERIMENTS.md).");
     BenchRun {
         table: t,
         baseline: Baseline::new("backend", entries),
@@ -3363,7 +3364,7 @@ mod tests {
                 assert_eq!(row[2], block[0][2], "{block:?}");
             }
         }
-        // The n = 64 rows keep the bus-plan cache hot at both widths.
+        // The n = 64 rows keep the wired-OR plan cache hot at both widths.
         for row in &t.rows[t.rows.len() - 2..] {
             let rate: f64 = row[5].trim_end_matches('%').parse().unwrap();
             assert!(rate > 90.0, "plan hit rate {rate}% on {row:?}");

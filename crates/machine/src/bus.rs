@@ -100,7 +100,7 @@ pub fn broadcast<T: Copy + Send + Sync>(
 /// segment spans the whole line) and reported in the returned `driverless`
 /// list (sorted ascending). [`bus_or`] uses the keys directly; [`broadcast`]
 /// treats a non-empty `driverless` list as a [`MachineError::BusFault`].
-/// The packed backend's bus-plan cache stores exactly this derivation.
+/// The packed backend's wired-OR plan cache stores exactly this derivation.
 pub fn cluster_keys(dim: Dim, dir: Direction, open: &[bool]) -> (Vec<u32>, Vec<usize>) {
     let axis = dir.axis();
     let lines = dim.lines(axis);
@@ -207,7 +207,7 @@ pub fn shift_wrapping<T: Copy + Send + Sync>(
     shift_with(mode, dim, src, dir, Fill::Wrap)
 }
 
-fn check_dim(expected: Dim, found: Dim) -> Result<(), MachineError> {
+pub(crate) fn check_dim(expected: Dim, found: Dim) -> Result<(), MachineError> {
     if expected == found {
         Ok(())
     } else {

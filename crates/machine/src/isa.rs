@@ -5,8 +5,8 @@
 //! controller instruction) and an *execution* side (the per-PE mechanics)
 //! behind the [`Executor`] trait. [`ScalarBackend`] reproduces the
 //! historical `Vec<T>`-plane semantics verbatim; the packed backend in
-//! [`crate::packed`] executes mask logic on u64-word bitsets with a
-//! bus-plan cache.
+//! [`crate::packed`] executes mask logic on u64-word bitsets, with
+//! plan-free broadcasts and a wired-OR plan cache.
 //!
 //! The contract every backend must satisfy: for any instruction sequence,
 //! the *values* delivered to PEs, the per-class step counts, and the

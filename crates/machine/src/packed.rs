@@ -1,22 +1,35 @@
 //! The packed execution backend: wide-word bitset masks, a recycling plane
-//! arena, and a bus-plan cache.
+//! arena, plan-free broadcasts, memoized bit slices and a wired-OR plan
+//! cache.
 //!
-//! [`PackedBackend`] implements [`Executor`] with three wall-clock levers
+//! [`PackedBackend`] implements [`Executor`] with these wall-clock levers
 //! the scalar reference backend lacks:
 //!
 //! * **Packed masks** — every `Plane<bool>` mask inside the bit-serial
 //!   `min`/`selected_min` loop is a [`PackedMask`]: `W::BITS` PEs per
-//!   machine word (see the [`Word`] seam), so votes, knockouts, bit-plane
-//!   extraction and occupancy counting are word ops and popcounts instead
-//!   of per-PE byte walks.
+//!   machine word (see the [`Word`] seam), so votes, knockouts and
+//!   occupancy counting are word ops and popcounts instead of per-PE byte
+//!   walks.
 //! * **Plane arena** — mask words are recycled through a shared
 //!   [`WordPool`]; after warm-up the O(h) scan loop allocates nothing.
-//! * **Bus-plan cache** — cluster resolution (`bus::cluster_keys`) is
-//!   computed once per distinct (direction, Open-mask) switch configuration
-//!   and reused; the MCP inner loop replays the same configuration across
-//!   all h bit passes, so nearly every bus instruction hits the cache.
-//!   Plans are fingerprinted per word width, so a 64-bit plan can never be
-//!   replayed against 256-bit masks.
+//! * **Plan-free broadcast** — `broadcast` and `broadcast_masked` read the
+//!   Open pattern row by row with word scans (a plane-form pattern is
+//!   packed first, eight PEs per multiply) and never derive cluster keys:
+//!   a row-axis broadcast is a cyclic run of segment fills, a column-axis
+//!   broadcast carries one value per column down (or up) the array,
+//!   updated only at Open PEs. The survivor mask that ends every `min`
+//!   scan differs on every call, so a cache keyed on it would miss every
+//!   time.
+//! * **Bit-sliced scan source** — the first `bit_plane(src, j)` on a source
+//!   plane transposes all of its bit planes in one pass; the rest of the
+//!   scan copies plane `j` out of a two-entry memo keyed by the source's
+//!   shared storage.
+//! * **Wired-OR plan cache** — cluster resolution (`bus::cluster_keys`) for
+//!   the wired-OR is computed once per distinct (direction, Open-mask)
+//!   switch configuration and reused; the MCP inner loop replays the same
+//!   configuration across all h bit passes, so nearly every wired-OR hits
+//!   the cache. Plans are fingerprinted per word width, so a 64-bit plan
+//!   can never be replayed against 256-bit masks.
 //!
 //! The backend is generic over the machine word: `PackedBackend<W64>` (the
 //! default) is the historical u64 backend, `PackedBackend<W256>` runs the
@@ -27,9 +40,10 @@
 
 use std::cell::RefCell;
 use std::rc::Rc;
+use std::sync::{Arc, Weak};
 
 use crate::bus;
-use crate::engine::{self, ExecMode};
+use crate::engine::ExecMode;
 use crate::error::MachineError;
 use crate::geometry::{Axis, Dim, Direction};
 use crate::isa::{ExecStats, Executor};
@@ -37,9 +51,15 @@ use crate::machine::Machine;
 use crate::plane::Plane;
 use crate::word::{Word, W64};
 
-/// Retained bus plans; the MCP loop needs ~5 distinct configurations, so a
-/// small LRU never evicts a live plan while tolerating mask churn.
+/// Retained wired-OR plans; a `min` scan replays one configuration per
+/// call and the MCP loop uses only a few, so a small LRU never evicts a
+/// live plan while tolerating mask churn.
 pub(crate) const PLAN_CACHE_CAP: usize = 32;
+
+/// Source planes whose bit slices stay memoized: the running `min` scan's
+/// source plus one loop-invariant source (statement 12's `COL`), which
+/// then hits across iterations.
+const SLICE_MEMO_CAP: usize = 2;
 
 /// Number of `W`-words needed to back one bit per PE of `dim` — the
 /// width-neutral stride every packed buffer is sized with.
@@ -93,15 +113,28 @@ pub(crate) fn pack_range<W: Word>(src: &[bool], w0: usize, out: &mut [W]) {
         let mut done = 0;
         while done < top {
             let take = 64.min(top - done);
-            let mut limb = 0u64;
-            for (b, &v) in src[base + done..base + done + take].iter().enumerate() {
-                limb |= (v as u64) << b;
-            }
-            word.set_limb(done / 64, limb);
+            word.set_limb(done / 64, pack_limb(&src[base + done..base + done + take]));
             done += take;
         }
         *w = word;
     }
+}
+
+/// Packs up to 64 booleans into a limb, eight at a time: a `bool` is a 0/1
+/// byte, so eight of them load as one word whose byte lanes one multiply
+/// gathers into a byte of bits.
+fn pack_limb(bools: &[bool]) -> u64 {
+    let mut chunks = bools.chunks_exact(8);
+    let mut limb = 0u64;
+    for (g, chunk) in (&mut chunks).enumerate() {
+        let lanes = u64::from_le_bytes(std::array::from_fn(|t| chunk[t] as u8));
+        limb |= (lanes.wrapping_mul(GATHER_LSBS) >> 56) << (8 * g);
+    }
+    let done = bools.len() - chunks.remainder().len();
+    for (b, &v) in chunks.remainder().iter().enumerate() {
+        limb |= (v as u64) << (done + b);
+    }
+    limb
 }
 
 /// Extracts bit `j` of the values backing words `w0..` into `out`.
@@ -219,6 +252,222 @@ pub(crate) fn bus_or_read_keys<W: Word>(
             done += take;
         }
         *w = word;
+    }
+}
+
+// ----- plan-free broadcast -------------------------------------------
+//
+// A broadcast delivers to every PE the value of the Open node heading its
+// cluster: the nearest Open node at or before it in movement order,
+// wrapping round the line. The kernel below derives that head on the fly
+// from the packed Open pattern, scanned one row of words at a time, so no
+// per-PE key vector is ever built and nothing depends on the pattern
+// having been seen before.
+
+/// Appends the Open columns of row `r` of a packed pattern, ascending, to
+/// `out`.
+fn open_cols<W: Word>(open: &[W], dim: Dim, r: usize, out: &mut Vec<usize>) {
+    let (start, end) = (r * dim.cols, (r + 1) * dim.cols);
+    let mut i = start;
+    while i < end {
+        let (wi, off) = (i / W::BITS, i % W::BITS);
+        let take = (W::BITS - off).min(end - i);
+        let word_start = wi * W::BITS;
+        (open[wi] & W::range_mask(off, off + take))
+            .for_each_set_bit(|b| out.push(word_start + b - start));
+        i += take;
+    }
+}
+
+/// Cluster-head broadcast of `src` along `dir` under the packed Open
+/// pattern `open`, with [`bus::broadcast`]'s semantics and fault: lines
+/// without an Open node are reported, ascending, as a
+/// [`MachineError::BusFault`]. `opens` is caller-owned scratch.
+fn broadcast_rows<T: Copy, W: Word>(
+    dim: Dim,
+    src: &[T],
+    dir: Direction,
+    open: &[W],
+    opens: &mut Vec<usize>,
+) -> Result<Vec<T>, MachineError> {
+    let cols = dim.cols;
+    let mut driverless = Vec::new();
+    let out = if dir.axis() == Axis::Row {
+        // Each row is one line; its clusters are runs of columns, so the
+        // row is written as a cyclic sequence of segment fills.
+        let mut out = Vec::with_capacity(dim.len());
+        for r in 0..dim.rows {
+            let (base, row) = (r * cols, &src[r * cols..(r + 1) * cols]);
+            opens.clear();
+            open_cols(open, dim, r, opens);
+            let (Some(&first), Some(&last)) = (opens.first(), opens.last()) else {
+                driverless.push(r);
+                out.resize(base + cols, row[0]);
+                continue;
+            };
+            if dir == Direction::East {
+                // An Open node drives itself and the columns after it; the
+                // columns before the first Open node wrap round to the last.
+                let mut head = row[last];
+                for &c in opens.iter() {
+                    out.resize(base + c, head);
+                    head = row[c];
+                }
+                out.resize(base + cols, head);
+            } else {
+                // West: an Open node drives itself and the columns before
+                // it; the columns after the last Open node wrap round to
+                // the first.
+                for &c in opens.iter() {
+                    out.resize(base + c + 1, row[c]);
+                }
+                out.resize(base + cols, row[first]);
+            }
+        }
+        out
+    } else {
+        // Each column is one line. Visit rows in movement order, carrying
+        // every column's current head value; the carry starts at the head
+        // that wraps round, the last Open node in movement order.
+        let rows = dim.rows;
+        let row_at = |p: usize| {
+            if dir.is_increasing() {
+                p
+            } else {
+                rows - 1 - p
+            }
+        };
+        let mut carry = src[..cols].to_vec();
+        let mut seen = vec![false; cols];
+        let mut unseen = cols;
+        for p in (0..rows).rev() {
+            let r = row_at(p);
+            opens.clear();
+            open_cols(open, dim, r, opens);
+            for &c in opens.iter() {
+                if !seen[c] {
+                    seen[c] = true;
+                    carry[c] = src[r * cols + c];
+                    unseen -= 1;
+                }
+            }
+            if unseen == 0 {
+                break;
+            }
+        }
+        if unseen > 0 {
+            driverless.extend((0..cols).filter(|&c| !seen[c]));
+            Vec::new()
+        } else {
+            let mut out = src.to_vec();
+            for p in 0..rows {
+                let r = row_at(p);
+                opens.clear();
+                open_cols(open, dim, r, opens);
+                for &c in opens.iter() {
+                    carry[c] = src[r * cols + c];
+                }
+                out[r * cols..(r + 1) * cols].copy_from_slice(&carry);
+            }
+            out
+        }
+    };
+    if driverless.is_empty() {
+        Ok(out)
+    } else {
+        Err(MachineError::BusFault {
+            axis: dir.axis(),
+            lines: driverless,
+        })
+    }
+}
+
+// ----- bit slices -----------------------------------------------------
+
+/// The least significant bit of every byte lane.
+const BYTE_LSBS: u64 = 0x0101_0101_0101_0101;
+/// Multiplier that moves bit 0 of byte lane `t` to bit `56 + t`. Every
+/// partial product lands on a distinct bit, so no carries disturb the
+/// gathered top byte.
+const GATHER_LSBS: u64 = 0x0102_0408_1020_4080;
+
+/// All bit planes of one `Plane<i64>` source, transposed in one pass.
+#[derive(Debug, Clone, Default)]
+struct BitSlices {
+    /// The source's shared storage. The held `Weak` keeps its address from
+    /// being reused, and an edit through `Arc::make_mut` either clones the
+    /// buffer or disassociates this `Weak`, so a live pointer match means
+    /// the contents are the ones transposed.
+    src: Weak<Vec<i64>>,
+    dim: Option<Dim>,
+    /// Bit planes held; every higher bit is zero in every value.
+    planes: usize,
+    /// 64-bit limbs per plane (whole `W` words).
+    stride: usize,
+    /// Plane `j` is `limbs[j * stride..(j + 1) * stride]`, 64 PEs a limb.
+    limbs: Vec<u64>,
+}
+
+impl BitSlices {
+    fn holds(&self, dim: Dim, src: &Arc<Vec<i64>>) -> bool {
+        self.dim == Some(dim) && self.src.upgrade().is_some_and(|s| Arc::ptr_eq(&s, src))
+    }
+
+    /// Re-fills this entry (keeping its buffer) with the bit planes of
+    /// `src`. Eight PEs at a time, each byte of their values is narrowed
+    /// into one byte lane of a word, and one multiply per bit gathers that
+    /// bit of all eight PEs into a byte of the plane.
+    fn fill(&mut self, dim: Dim, src: &Arc<Vec<i64>>, stride: usize) {
+        debug_assert_eq!(src.len(), dim.len());
+        let top = src.iter().fold(0u64, |acc, &v| {
+            debug_assert!(v >= 0, "bit-serial scan expects non-negative values");
+            acc | v as u64
+        });
+        let planes = (u64::BITS - top.leading_zeros()) as usize;
+        self.src = Arc::downgrade(src);
+        self.dim = Some(dim);
+        self.planes = planes;
+        self.stride = stride;
+        self.limbs.clear();
+        self.limbs.resize(planes * stride, 0);
+        let bytes = planes.div_ceil(8);
+        for (l, chunk) in src.chunks(64).enumerate() {
+            // lanes[k][g]: byte k of the values of PEs 8g..8g + 8.
+            let mut lanes = [[0u64; 8]; 8];
+            for (g, group) in chunk.chunks(8).enumerate() {
+                let mut vals = [0u64; 8];
+                for (v, &x) in vals.iter_mut().zip(group) {
+                    *v = x as u64;
+                }
+                for (k, lane) in lanes[..bytes].iter_mut().enumerate() {
+                    lane[g] =
+                        u64::from_le_bytes(std::array::from_fn(|t| (vals[t] >> (8 * k)) as u8));
+                }
+            }
+            for (k, lane) in lanes[..bytes].iter().enumerate() {
+                for b in 0..(planes - 8 * k).min(8) {
+                    let mut limb = 0u64;
+                    for (g, &x) in lane.iter().enumerate() {
+                        limb |= (((x >> b) & BYTE_LSBS).wrapping_mul(GATHER_LSBS) >> 56) << (8 * g);
+                    }
+                    self.limbs[(8 * k + b) * stride + l] = limb;
+                }
+            }
+        }
+    }
+
+    /// Copies plane `j` into `out` (all zeros above the highest plane).
+    fn copy_plane<W: Word>(&self, j: usize, out: &mut [W]) {
+        if j >= self.planes {
+            out.fill(W::zero());
+            return;
+        }
+        let plane = &self.limbs[j * self.stride..(j + 1) * self.stride];
+        for (w, limbs) in out.iter_mut().zip(plane.chunks_exact(W::LIMBS)) {
+            for (i, &limb) in limbs.iter().enumerate() {
+                w.set_limb(i, limb);
+            }
+        }
     }
 }
 
@@ -354,7 +603,8 @@ pub(crate) struct BusPlan {
 }
 
 /// Derives the cluster plan for a packed Open mask from scratch — the
-/// cache-miss path shared by the packed and threaded backends.
+/// packed wired-OR's cache-miss path, and every plan the threaded backend
+/// caches (its broadcasts still replay plans).
 pub(crate) fn compute_plan<W: Word>(dim: Dim, dir: Direction, words: &[W]) -> BusPlan {
     let mut open = vec![false; dim.len()];
     for (i, o) in open.iter_mut().enumerate() {
@@ -414,21 +664,28 @@ pub struct PackedBackend<W: Word = W64> {
     plans: Vec<PlanEntry<W>>,
     plan_hits: u64,
     plan_misses: u64,
+    /// Bit-slice memo, least recently used first.
+    slices: Vec<BitSlices>,
+    /// Broadcast scratch: a plane-form Open pattern, packed.
     scratch: Vec<W>,
+    /// Broadcast scratch: one row's Open columns.
+    opens: Vec<usize>,
     /// Bench-gate mutation drill only: corrupt one bit of every vote.
     #[cfg(any(test, feature = "mutation-drill"))]
     perturb_vote: bool,
 }
 
 impl<W: Word> PackedBackend<W> {
-    /// A fresh backend with an empty arena and plan cache.
+    /// A fresh backend with an empty arena, slice memo and plan cache.
     pub fn new() -> Self {
         PackedBackend {
             pool: Rc::new(RefCell::new(WordPool::default())),
             plans: Vec::new(),
             plan_hits: 0,
             plan_misses: 0,
+            slices: Vec::new(),
             scratch: Vec::new(),
+            opens: Vec::new(),
             #[cfg(any(test, feature = "mutation-drill"))]
             perturb_vote: false,
         }
@@ -482,15 +739,24 @@ impl<W: Word> PackedBackend<W> {
         plan
     }
 
-    /// The cached cluster plan for `open` given as a plane.
-    fn plan_for_plane(&mut self, dim: Dim, dir: Direction, open: &Plane<bool>) -> Rc<BusPlan> {
-        let mut scratch = std::mem::take(&mut self.scratch);
-        scratch.clear();
-        scratch.resize(words_for::<W>(dim), W::zero());
-        pack_range(open.as_slice(), 0, &mut scratch);
-        let plan = self.plan_for_words(dim, dir, &scratch);
-        self.scratch = scratch;
-        plan
+    /// The memoized bit slices of `src`, transposing them on a miss into
+    /// the least recently used entry's buffer.
+    fn slices_for(&mut self, dim: Dim, src: &Plane<i64>) -> &BitSlices {
+        let shared = src.shared();
+        let entry = match self.slices.iter().position(|e| e.holds(dim, &shared)) {
+            Some(pos) => self.slices.remove(pos),
+            None => {
+                let mut entry = if self.slices.len() >= SLICE_MEMO_CAP {
+                    self.slices.remove(0)
+                } else {
+                    BitSlices::default()
+                };
+                entry.fill(dim, &shared, words_for::<W>(dim) * W::LIMBS);
+                entry
+            }
+        };
+        self.slices.push(entry); // most recent at the back
+        &self.slices[self.slices.len() - 1]
     }
 }
 
@@ -530,7 +796,8 @@ impl<W: Word> Executor for PackedBackend<W> {
 
     fn bit_plane(&mut self, _mode: ExecMode, dim: Dim, src: &Plane<i64>, j: u32) -> PackedMask<W> {
         let mut mask = self.alloc_mask(dim);
-        bit_plane_range(src.as_slice(), j, 0, &mut mask.words);
+        self.slices_for(dim, src)
+            .copy_plane(j as usize, &mut mask.words);
         mask
     }
 
@@ -602,94 +869,31 @@ impl<W: Word> Executor for PackedBackend<W> {
 
     fn broadcast<T: Copy + Send + Sync + 'static>(
         &mut self,
-        mode: ExecMode,
+        _mode: ExecMode,
         dim: Dim,
         src: &Plane<T>,
         dir: Direction,
         open: &Plane<bool>,
     ) -> Result<Plane<T>, MachineError> {
-        if src.dim() != dim {
-            return Err(MachineError::DimMismatch {
-                expected: dim,
-                found: src.dim(),
-            });
-        }
-        if open.dim() != dim {
-            return Err(MachineError::DimMismatch {
-                expected: dim,
-                found: open.dim(),
-            });
-        }
-        let plan = self.plan_for_plane(dim, dir, open);
-        if !plan.driverless.is_empty() {
-            return Err(MachineError::BusFault {
-                axis: dir.axis(),
-                lines: plan.driverless.clone(),
-            });
-        }
-        let s = src.as_slice();
-        let keys = &plan.keys;
-        let data = engine::build(mode, dim.len(), |i| s[keys[i] as usize]);
+        bus::check_dim(dim, src.dim())?;
+        bus::check_dim(dim, open.dim())?;
+        self.scratch.clear();
+        self.scratch.resize(words_for::<W>(dim), W::zero());
+        pack_range(open.as_slice(), 0, &mut self.scratch);
+        let data = broadcast_rows(dim, src.as_slice(), dir, &self.scratch, &mut self.opens)?;
         Ok(Plane::from_vec(dim, data))
     }
 
     fn broadcast_masked<T: Copy + Send + Sync + 'static>(
         &mut self,
-        mode: ExecMode,
+        _mode: ExecMode,
         dim: Dim,
         src: &Plane<T>,
         dir: Direction,
         open: &PackedMask<W>,
     ) -> Result<Plane<T>, MachineError> {
-        if src.dim() != dim {
-            return Err(MachineError::DimMismatch {
-                expected: dim,
-                found: src.dim(),
-            });
-        }
-        let plan = self.plan_for_words(dim, dir, &open.words);
-        if !plan.driverless.is_empty() {
-            return Err(MachineError::BusFault {
-                axis: dir.axis(),
-                lines: plan.driverless.clone(),
-            });
-        }
-        let s = src.as_slice();
-        let keys = &plan.keys;
-        let data = engine::build(mode, dim.len(), |i| s[keys[i] as usize]);
-        Ok(Plane::from_vec(dim, data))
-    }
-
-    fn bus_or(
-        &mut self,
-        mode: ExecMode,
-        dim: Dim,
-        values: &Plane<bool>,
-        dir: Direction,
-        open: &Plane<bool>,
-    ) -> Result<Plane<bool>, MachineError> {
-        if values.dim() != dim {
-            return Err(MachineError::DimMismatch {
-                expected: dim,
-                found: values.dim(),
-            });
-        }
-        if open.dim() != dim {
-            return Err(MachineError::DimMismatch {
-                expected: dim,
-                found: open.dim(),
-            });
-        }
-        let plan = self.plan_for_plane(dim, dir, open);
-        let v = values.as_slice();
-        let keys = &plan.keys;
-        let mut acc = vec![false; dim.len()];
-        for (i, &set) in v.iter().enumerate() {
-            if set {
-                acc[keys[i] as usize] = true;
-            }
-        }
-        let data = engine::build(mode, dim.len(), |i| acc[keys[i] as usize]);
+        bus::check_dim(dim, src.dim())?;
+        let data = broadcast_rows(dim, src.as_slice(), dir, &open.words, &mut self.opens)?;
         Ok(Plane::from_vec(dim, data))
     }
 
@@ -748,7 +952,7 @@ mod tests {
     use crate::isa::ScalarBackend;
     use crate::word::W256;
 
-    fn plane_of(dim: Dim, f: impl Fn(usize) -> bool) -> Plane<bool> {
+    fn plane_of(dim: Dim, f: impl FnMut(usize) -> bool) -> Plane<bool> {
         Plane::from_vec(dim, (0..dim.len()).map(f).collect())
     }
 
@@ -919,16 +1123,247 @@ mod tests {
     fn plan_cache_hits_on_repeated_configurations() {
         let dim = Dim::square(8);
         let mut be = PackedBackend::<W64>::new();
-        let open = plane_of(dim, |i| i % 8 == 0);
-        let src = Plane::from_vec(dim, (0..dim.len() as i64).collect());
+        let open = be.mask_from_plane(dim, &plane_of(dim, |i| i % 8 == 0));
+        let values = be.mask_from_plane(dim, &plane_of(dim, |i| i % 5 == 0));
         for _ in 0..5 {
-            be.broadcast(ExecMode::Sequential, dim, &src, Direction::East, &open)
+            be.mask_bus_or(ExecMode::Sequential, dim, &values, Direction::East, &open)
                 .unwrap();
         }
         let stats = be.stats();
         assert_eq!(stats.plan_misses, 1);
         assert_eq!(stats.plan_hits, 4);
         assert!(stats.plan_hit_rate() > 0.75);
+    }
+
+    #[test]
+    fn broadcasts_never_consult_the_plan_cache() {
+        let dim = Dim::square(8);
+        let mut be = PackedBackend::<W64>::new();
+        let open = plane_of(dim, |i| i % 9 == 0); // the diagonal
+        let mask = be.mask_from_plane(dim, &open);
+        let src = Plane::from_vec(dim, (0..dim.len() as i64).collect());
+        for dir in Direction::ALL {
+            be.broadcast(ExecMode::Sequential, dim, &src, dir, &open)
+                .unwrap();
+            be.broadcast_masked(ExecMode::Sequential, dim, &src, dir, &mask)
+                .unwrap();
+        }
+        let stats = be.stats();
+        assert_eq!((stats.plan_hits, stats.plan_misses), (0, 0));
+    }
+
+    /// SplitMix64: a dependency-free stream for the randomized kernel tests.
+    fn splitmix(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    /// Dims whose rows, columns or totals straddle 64- and 256-bit words.
+    const STRADDLING_DIMS: [(usize, usize); 5] = [(5, 13), (9, 31), (1, 65), (65, 1), (21, 21)];
+
+    fn broadcast_matches_reference<W: Word>() {
+        let mut be = PackedBackend::<W>::new();
+        let mut rng = 7u64;
+        for (rows, cols) in STRADDLING_DIMS {
+            let dim = Dim::new(rows, cols);
+            let src = Plane::from_vec(
+                dim,
+                (0..dim.len()).map(|_| splitmix(&mut rng) as i64).collect(),
+            );
+            let flags = plane_of(dim, |i| i % 3 == 1);
+            // One Open PE in `1 << density` on average: dense patterns,
+            // sparse ones with a few driverless lines, and all-Short ones
+            // where every line is driverless.
+            for density in [1u32, 3, 5, 64] {
+                for _ in 0..4 {
+                    let open = plane_of(dim, |_| {
+                        density < 64 && splitmix(&mut rng).trailing_zeros() >= density
+                    });
+                    let mask = be.mask_from_plane(dim, &open);
+                    for dir in Direction::ALL {
+                        let seq = ExecMode::Sequential;
+                        let want = bus::broadcast(seq, dim, &src, dir, &open);
+                        let ctx = format!("{dim} density {density} {dir:?} open {open:?}");
+                        assert_eq!(be.broadcast(seq, dim, &src, dir, &open), want, "{ctx}");
+                        assert_eq!(
+                            be.broadcast_masked(seq, dim, &src, dir, &mask),
+                            want,
+                            "{ctx}"
+                        );
+                        let want = bus::broadcast(seq, dim, &flags, dir, &open);
+                        assert_eq!(be.broadcast(seq, dim, &flags, dir, &open), want, "{ctx}");
+                        assert_eq!(
+                            be.broadcast_masked(seq, dim, &flags, dir, &mask),
+                            want,
+                            "{ctx}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn broadcast_matches_bus_reference_at_w64() {
+        broadcast_matches_reference::<W64>();
+    }
+
+    #[test]
+    fn broadcast_matches_bus_reference_at_w256() {
+        broadcast_matches_reference::<W256>();
+    }
+
+    #[test]
+    fn broadcast_rejects_mismatched_planes() {
+        let dim = Dim::square(4);
+        let mut be = PackedBackend::<W64>::new();
+        let src = Plane::filled(Dim::square(3), 1i64);
+        let open = plane_of(dim, |_| true);
+        let mask = be.mask_from_plane(dim, &open);
+        let seq = ExecMode::Sequential;
+        let want = Err(MachineError::DimMismatch {
+            expected: dim,
+            found: Dim::square(3),
+        });
+        assert_eq!(be.broadcast(seq, dim, &src, Direction::East, &open), want);
+        assert_eq!(
+            be.broadcast_masked(seq, dim, &src, Direction::East, &mask),
+            want
+        );
+    }
+
+    /// Bit `j` of every value, extracted one PE at a time.
+    fn reference_bit_plane(src: &Plane<i64>, j: u32) -> Plane<bool> {
+        src.map_free(|&x| (x >> j) & 1 == 1)
+    }
+
+    fn bit_slices_match_reference<W: Word>() {
+        let mut be = PackedBackend::<W>::new();
+        let mut rng = 11u64;
+        for (rows, cols) in STRADDLING_DIMS {
+            let dim = Dim::new(rows, cols);
+            // Value widths from a single bit up to bit 62, the highest a
+            // non-negative i64 can hold, plus an all-zero plane.
+            for top in [0u32, 1, 7, 8, 9, 11, 16, 33, 62, 63] {
+                let src = Plane::from_vec(
+                    dim,
+                    (0..dim.len())
+                        .map(|_| (splitmix(&mut rng) & ((1u64 << top) - 1)) as i64)
+                        .collect(),
+                );
+                for j in 0..63 {
+                    let got = be.bit_plane(ExecMode::Sequential, dim, &src, j);
+                    let want = reference_bit_plane(&src, j);
+                    assert_eq!(be.mask_to_plane(dim, &got), want, "{dim} top {top} bit {j}");
+                    // Trailing bits past the last PE stay clear.
+                    assert_eq!(got.count(), want.count_true(), "{dim} top {top} bit {j}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn bit_slices_match_per_bit_extraction_at_w64() {
+        bit_slices_match_reference::<W64>();
+    }
+
+    #[test]
+    fn bit_slices_match_per_bit_extraction_at_w256() {
+        bit_slices_match_reference::<W256>();
+    }
+
+    /// `bit_plane` for every bit, unpacked.
+    fn all_bits<W: Word>(be: &mut PackedBackend<W>, src: &Plane<i64>) -> Vec<Plane<bool>> {
+        let dim = src.dim();
+        (0..12)
+            .map(|j| {
+                let m = be.bit_plane(ExecMode::Sequential, dim, src, j);
+                be.mask_to_plane(dim, &m)
+            })
+            .collect()
+    }
+
+    fn reference_bits(src: &Plane<i64>) -> Vec<Plane<bool>> {
+        (0..12).map(|j| reference_bit_plane(src, j)).collect()
+    }
+
+    fn memoized<W: Word>(be: &PackedBackend<W>, src: &Plane<i64>) -> bool {
+        be.slices.iter().any(|e| e.holds(src.dim(), &src.shared()))
+    }
+
+    #[test]
+    fn slice_memo_misses_after_an_edit_in_place() {
+        let dim = Dim::new(5, 13);
+        let mut be = PackedBackend::<W64>::new();
+        let mut p = Plane::from_vec(dim, (0..dim.len() as i64).collect());
+        assert_eq!(all_bits(&mut be, &p), reference_bits(&p));
+        assert!(memoized(&be, &p));
+        // `p` owns its buffer alone, so `set` edits without copying: the
+        // memo's `Weak` must be disassociated, not matched.
+        p.set(crate::geometry::Coord::new(0, 0), 2047);
+        assert!(!memoized(&be, &p), "an edited plane must miss");
+        assert_eq!(all_bits(&mut be, &p), reference_bits(&p));
+        p.as_mut_slice()[64] = 1024;
+        assert!(!memoized(&be, &p), "an edited plane must miss");
+        assert_eq!(all_bits(&mut be, &p), reference_bits(&p));
+    }
+
+    #[test]
+    fn slice_memo_misses_after_a_clone_is_edited() {
+        let dim = Dim::new(9, 31);
+        let mut be = PackedBackend::<W256>::new();
+        let p = Plane::from_vec(dim, (0..dim.len() as i64).map(|x| x * 3).collect());
+        let mut q = p.clone();
+        assert_eq!(all_bits(&mut be, &p), reference_bits(&p));
+        assert!(memoized(&be, &q), "a clone shares the memoized storage");
+        q.set(crate::geometry::Coord::new(8, 30), 1);
+        assert!(!memoized(&be, &q), "the edited clone must miss");
+        assert!(memoized(&be, &p), "the original still hits");
+        assert_eq!(all_bits(&mut be, &q), reference_bits(&q));
+        assert_eq!(all_bits(&mut be, &p), reference_bits(&p));
+    }
+
+    #[test]
+    fn slice_memo_follows_alternating_sources() {
+        let dim = Dim::square(21);
+        let mut be = PackedBackend::<W64>::new();
+        let sources: Vec<Plane<i64>> = (0..3)
+            .map(|k| Plane::from_vec(dim, (0..dim.len() as i64).map(|x| x * (k + 1)).collect()))
+            .collect();
+        for round in 0..3 {
+            for (k, src) in sources.iter().enumerate() {
+                assert_eq!(
+                    all_bits(&mut be, src),
+                    reference_bits(src),
+                    "round {round} src {k}"
+                );
+            }
+        }
+        // Two sources stay memoized: the most recent two.
+        assert_eq!(be.slices.len(), SLICE_MEMO_CAP);
+        assert!(!memoized(&be, &sources[0]));
+        assert!(memoized(&be, &sources[1]) && memoized(&be, &sources[2]));
+    }
+
+    #[test]
+    fn slice_memo_is_keyed_by_dimension() {
+        let (wide, square) = (Dim::new(1, 65), Dim::new(5, 13));
+        let mut be = PackedBackend::<W256>::new();
+        let a = Plane::from_vec(wide, (0..65).map(|x| x * 5).collect());
+        let b = Plane::from_vec(square, (0..65).map(|x| x * 7).collect());
+        for _ in 0..2 {
+            assert_eq!(all_bits(&mut be, &a), reference_bits(&a));
+            assert_eq!(all_bits(&mut be, &b), reference_bits(&b));
+        }
+        // The same storage read under another geometry is a miss that
+        // re-keys the entry.
+        let m = be.bit_plane(ExecMode::Sequential, square, &a, 2);
+        assert_eq!(be.slices.last().unwrap().dim, Some(square));
+        let want = reference_bit_plane(&a, 2);
+        assert!((0..65).all(|i| m.bit(i) == want.as_slice()[i]));
     }
 
     #[test]
@@ -966,10 +1401,16 @@ mod tests {
         let dim = Dim::square(4);
         let mut be = PackedBackend::<W64>::new();
         let open = plane_of(dim, |_| false);
+        let mask = be.mask_from_plane(dim, &open);
         let src = Plane::filled(dim, 1i64);
-        match be.broadcast(ExecMode::Sequential, dim, &src, Direction::East, &open) {
-            Err(MachineError::BusFault { lines, .. }) => assert_eq!(lines, vec![0, 1, 2, 3]),
-            other => panic!("expected BusFault, got {other:?}"),
+        for dir in Direction::ALL {
+            let want = Err(MachineError::BusFault {
+                axis: dir.axis(),
+                lines: vec![0, 1, 2, 3],
+            });
+            let seq = ExecMode::Sequential;
+            assert_eq!(be.broadcast(seq, dim, &src, dir, &open), want);
+            assert_eq!(be.broadcast_masked(seq, dim, &src, dir, &mask), want);
         }
     }
 

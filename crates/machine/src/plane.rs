@@ -76,7 +76,8 @@ impl<T> Plane<T> {
     }
 
     /// The shared handle to the row-major storage — how backends hand
-    /// plane data to worker threads without copying.
+    /// plane data to worker threads without copying, and how the packed
+    /// backend keys its bit-slice memo by storage identity.
     pub(crate) fn shared(&self) -> Arc<Vec<T>> {
         Arc::clone(&self.data)
     }

@@ -677,14 +677,18 @@ impl Drop for SolveService {
     }
 }
 
+/// Registers a new worker in introspection and the health ledger, then
+/// starts its thread. Registering before the spawn means a snapshot taken
+/// right after `start()` (or after a supervisor replacement) already lists
+/// the worker, instead of racing its thread's first instruction.
 fn spawn_worker(ctx: WorkerCtx) -> JoinHandle<()> {
-    thread::spawn(move || worker_loop(ctx))
-}
-
-fn worker_loop(ctx: WorkerCtx) {
     let index = ctx.worker_seq.fetch_add(1, Ordering::Relaxed);
     lock(&ctx.shared.workers).insert(index, WorkerState::Idle);
     lock(&ctx.shared.health).register(index);
+    thread::spawn(move || worker_loop(ctx, index))
+}
+
+fn worker_loop(ctx: WorkerCtx, index: u64) {
     let scrub = ctx.shared.config.scrubbing.clone();
     let mut clock = ScrubClock::new();
     // Golden-ratio stride keeps worker streams disjoint for nearby seeds.
@@ -2736,6 +2740,27 @@ mod tests {
         assert_eq!(snap.metrics.counter("serve.accepted"), 4);
         assert_eq!(snap.metrics.counter("serve.completed"), 4);
         svc.shutdown();
+    }
+
+    #[test]
+    fn introspection_lists_every_worker_right_after_start() {
+        // Workers are registered before their threads spawn, so even a
+        // snapshot taken before any worker thread has run lists them all,
+        // idle and healthy.
+        for _ in 0..20 {
+            let svc = SolveService::start(ServeConfig {
+                workers: 3,
+                ..quick_config()
+            });
+            let snap = svc.introspect();
+            let indices: Vec<u64> = snap.workers.iter().map(|w| w.index).collect();
+            assert_eq!(indices, vec![0, 1, 2]);
+            assert!(snap.workers.iter().all(|w| w.job.is_none() && !w.scrubbing));
+            let ledger: Vec<u64> = snap.health.iter().map(|h| h.worker).collect();
+            assert_eq!(ledger, vec![0, 1, 2]);
+            assert!(snap.health.iter().all(|h| h.state == "healthy"));
+            svc.shutdown();
+        }
     }
 
     #[test]
