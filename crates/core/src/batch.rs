@@ -53,7 +53,7 @@
 
 use crate::apsp::AllPairs;
 use crate::error::McpError;
-use crate::mcp::{self, McpOutput};
+use crate::mcp::{self, McpOutput, Registers};
 use crate::stats::McpStats;
 use crate::Result;
 use ppa_graph::{Weight, WeightMatrix, INF};
@@ -506,10 +506,12 @@ impl<E: Executor> BatchSession<E> {
         let _col_is_d = ppa.eq(&self.prep.lane_col, &d_imm)?;
 
         // Parallel variable declarations (pinned to MAXINT, as solo).
-        let mut sow = ppa.constant(maxint);
-        let mut min_sow = ppa.constant(maxint);
-        let mut ptn = ppa.constant(0i64);
-        let mut old_sow = ppa.constant(maxint); // statement 3
+        let Registers {
+            mut sow,
+            mut min_sow,
+            mut ptn,
+            mut old_sow,
+        } = Registers::load(ppa, maxint)?;
 
         // --- Step 1: statements 4-7, lane-safe form ---------------------
         ppa.set_phase(Some("step 1 (stmts 4-7)"));
@@ -519,16 +521,25 @@ impl<E: Executor> BatchSession<E> {
         // puts w_id into every cell of lane column i, and the SOUTH
         // diagonal fold is then value-identical — two broadcast steps
         // either way, so the init report matches solo exactly.
-        let b1 = ppa.broadcast(&self.prep.wt_plane, Direction::South, &row_is_d)?;
-        let in_weights_t = ppa.broadcast(&b1, Direction::South, &self.prep.diag)?;
-        ppa.where_(&row_is_d, |p| -> ppa_ppc::Result<()> {
-            p.assign(&mut sow, &in_weights_t)?; // 5 (intended)
-            p.assign(&mut ptn, &d_imm)?; // 6: PTN = d
-            p.assign(&mut min_sow, &in_weights_t)?;
-            Ok(())
-        })??;
+        // As in solo, the spreads and each loop statement's temporaries
+        // live in blocks of their own, so the wave's peak of live planes
+        // stays low.
+        {
+            let b1 = ppa.broadcast(&self.prep.wt_plane, Direction::South, &row_is_d)?;
+            let in_weights_t = ppa.broadcast(&b1, Direction::South, &self.prep.diag)?;
+            ppa.where_(&row_is_d, |p| -> ppa_ppc::Result<()> {
+                p.assign(&mut sow, &in_weights_t)?; // 5 (intended)
+                p.assign(&mut ptn, &d_imm)?; // 6: PTN = d
+                p.assign(&mut min_sow, &in_weights_t)?;
+                Ok(())
+            })??;
+        }
 
         let init_report = ppa.steps().checked_since(&start).unwrap_or_default();
+        // Loop-invariant switch patterns of statements 10, 16 and 18,
+        // packed once (register views, no step) for `broadcast_open`.
+        let row_is_d_open = ppa.pack_open(&row_is_d)?;
+        let diag_open = ppa.pack_open(&self.prep.diag)?;
 
         // --- the per-lane solo-equivalent step ledger -------------------
         // Every costed op is one step and the last op of every pass is
@@ -583,38 +594,46 @@ impl<E: Executor> BatchSession<E> {
 
             // ---- statements 9-13, under where (ROW != d) ----
             ppa.set_phase(Some("stmt 10: broadcast+add"));
-            let bsow = ppa.broadcast(&sow, Direction::South, &row_is_d)?;
-            let sum = ppa.sat_add(&bsow, &self.prep.w_plane)?;
-            ppa.where_(&row_ne_d, |p| p.assign(&mut sow, &sum))??;
+            {
+                let bsow = ppa.broadcast_open(&sow, Direction::South, &row_is_d_open)?;
+                let sum = ppa.sat_add(&bsow, &self.prep.w_plane)?;
+                ppa.where_(&row_ne_d, |p| p.assign(&mut sow, &sum))??;
+            }
 
             ppa.set_phase(Some("stmt 11: min"));
-            let rowmin = ppa.min(&sow, Direction::West, &self.prep.last_col)?;
-            ppa.where_(&row_ne_d, |p| p.assign(&mut min_sow, &rowmin))??;
+            {
+                let rowmin = ppa.min(&sow, Direction::West, &self.prep.last_col)?;
+                ppa.where_(&row_ne_d, |p| p.assign(&mut min_sow, &rowmin))??;
+            }
 
             // The selection register is the *lane-local* COL, so PTN
             // values and tie-breaks match each lane's solo run.
             ppa.set_phase(Some("stmt 12: selected_min"));
-            let is_argmin = ppa.eq(&min_sow, &sow)?;
-            let sel = ppa.or(&is_argmin, &row_is_d)?;
-            let argmin_col = ppa.selected_min(
-                &self.prep.lane_col,
-                Direction::West,
-                &self.prep.last_col,
-                &sel,
-            )?;
-            ppa.where_(&row_ne_d, |p| p.assign(&mut ptn, &argmin_col))??;
+            {
+                let is_argmin = ppa.eq(&min_sow, &sow)?;
+                let sel = ppa.or(&is_argmin, &row_is_d)?;
+                let argmin_col = ppa.selected_min(
+                    &self.prep.lane_col,
+                    Direction::West,
+                    &self.prep.last_col,
+                    &sel,
+                )?;
+                ppa.where_(&row_ne_d, |p| p.assign(&mut ptn, &argmin_col))??;
+            }
 
             // ---- statements 14-18, under where (ROW == d) ----
             ppa.set_phase(Some("stmts 14-18: fold into row d"));
-            let bc_min = ppa.broadcast(&min_sow, Direction::South, &self.prep.diag)?;
-            let bc_ptn = ppa.broadcast(&ptn, Direction::South, &self.prep.diag)?;
-            let changed = ppa.where_(&row_is_d, |p| -> ppa_ppc::Result<Parallel<bool>> {
-                p.assign(&mut old_sow, &sow)?; // 15
-                p.assign(&mut sow, &bc_min)?; // 16
-                let changed = p.ne(&sow, &old_sow)?; // 17 condition
-                p.where_(&changed, |q| q.assign(&mut ptn, &bc_ptn))??; // 17-18
-                Ok(changed)
-            })??;
+            let changed = {
+                let bc_min = ppa.broadcast_open(&min_sow, Direction::South, &diag_open)?;
+                let bc_ptn = ppa.broadcast_open(&ptn, Direction::South, &diag_open)?;
+                ppa.where_(&row_is_d, |p| -> ppa_ppc::Result<Parallel<bool>> {
+                    p.assign(&mut old_sow, &sow)?; // 15
+                    p.assign(&mut sow, &bc_min)?; // 16
+                    let changed = p.ne(&sow, &old_sow)?; // 17 condition
+                    p.where_(&changed, |q| q.assign(&mut ptn, &bc_ptn))??; // 17-18
+                    Ok(changed)
+                })??
+            };
 
             per_iteration.push(ppa.steps().checked_since(&iter_start).unwrap_or_default());
 
@@ -710,6 +729,13 @@ impl<E: Executor> BatchSession<E> {
             m.inc("batch.solves", 1);
             m.inc("batch.lanes", lanes as u64);
         }
+        Registers {
+            sow,
+            min_sow,
+            ptn,
+            old_sow,
+        }
+        .release();
         self.publish_backend_metrics(&before_exec);
 
         Ok(results

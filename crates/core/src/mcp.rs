@@ -37,6 +37,7 @@ use crate::Result;
 use ppa_graph::{Weight, WeightMatrix, INF};
 use ppa_machine::{Direction, Executor, StepReport};
 use ppa_ppc::{Parallel, Ppa};
+use std::cell::RefCell;
 
 /// Result of one `minimum_cost_path` run.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -121,6 +122,55 @@ pub(crate) struct Prepared {
     diag: Parallel<bool>,
     last_col: Parallel<bool>,
     w_plane: Parallel<i64>,
+}
+
+/// The parallel variables of statements 1-3: `SOW`, `MIN_SOW`, `PTN` and
+/// `OLD_SOW`.
+#[derive(Debug)]
+pub(crate) struct Registers {
+    pub(crate) sow: Parallel<i64>,
+    pub(crate) min_sow: Parallel<i64>,
+    pub(crate) ptn: Parallel<i64>,
+    pub(crate) old_sow: Parallel<i64>,
+}
+
+thread_local! {
+    /// The registers of this thread's last completed solve or wave. Four
+    /// planes allocated and freed per solve are enough for the allocator
+    /// to return the top of the heap to the kernel and fault it back in
+    /// on the next solve (EXPERIMENTS.md, PF2); one spare set per thread,
+    /// rather than one per session, keeps that off without holding four
+    /// planes in every idle session.
+    static SPARE: RefCell<Option<Registers>> = const { RefCell::new(None) };
+}
+
+impl Registers {
+    /// Declares the registers, pinned to `MAXINT` (`PTN` to 0): one
+    /// immediate load each. The thread's spare set is reloaded in place
+    /// when it has the machine's shape; the steps are the same either way.
+    pub(crate) fn load<E: Executor>(ppa: &mut Ppa<E>, maxint: i64) -> Result<Registers> {
+        let spare = SPARE
+            .with(|s| s.borrow_mut().take())
+            .filter(|r| r.sow.dim() == ppa.dim());
+        let Some(mut r) = spare else {
+            return Ok(Registers {
+                sow: ppa.constant(maxint),
+                min_sow: ppa.constant(maxint),
+                ptn: ppa.constant(0i64),
+                old_sow: ppa.constant(maxint), // statement 3
+            });
+        };
+        ppa.constant_into(&mut r.sow, maxint)?;
+        ppa.constant_into(&mut r.min_sow, maxint)?;
+        ppa.constant_into(&mut r.ptn, 0)?;
+        ppa.constant_into(&mut r.old_sow, maxint)?;
+        Ok(r)
+    }
+
+    /// Hands the registers back as the thread's spare set.
+    pub(crate) fn release(self) {
+        SPARE.with(|s| *s.borrow_mut() = Some(self));
+    }
 }
 
 /// The four destination-dependent masks (4 ALU steps per destination).
@@ -223,7 +273,7 @@ impl Prepared {
         self.run(ppa, &masks, w, d, start, observed, verify)
     }
 
-    /// Statements 4-20 plus readout and (optionally) verification,
+    /// Statements 1-20 plus readout and (optionally) verification,
     /// assuming the caller has already entered the `mcp` span (when
     /// observed) and set the `setup` phase.
     #[allow(clippy::too_many_arguments)]
@@ -252,13 +302,19 @@ impl Prepared {
             col_is_d,
         } = masks;
         let col = &self.col;
+        // The statement 10, 16 and 18 switch patterns are loop-invariant:
+        // pack them once (register views, no step) for `broadcast_open`.
+        let row_is_d_open = ppa.pack_open(row_is_d)?;
+        let diag_open = ppa.pack_open(diag)?;
 
         // Parallel variable declarations; PPC leaves them uninitialized, the
         // simulator pins them to MAXINT (fidelity note 2 at the crate root).
-        let mut sow = ppa.constant(maxint);
-        let mut min_sow = ppa.constant(maxint);
-        let mut ptn = ppa.constant(0i64);
-        let mut old_sow = ppa.constant(maxint); // statement 3
+        let Registers {
+            mut sow,
+            mut min_sow,
+            mut ptn,
+            mut old_sow,
+        } = Registers::load(ppa, maxint)?;
 
         // --- Step 1: statements 4-7 -------------------------------------------
         ppa.set_phase(Some("step 1 (stmts 4-7)"));
@@ -268,17 +324,24 @@ impl Prepared {
         // (fidelity note 3 in DESIGN.md). The intended initialization is
         // realized with two O(1) bus steps: spread column d across each row,
         // then fold the diagonal down into row d.
-        let in_weights = ppa.broadcast(w_plane, Direction::East, col_is_d)?; // [i][*] = w_id
-        let in_weights_t = ppa.broadcast(&in_weights, Direction::South, diag)?; // [*][i] = w_id
-        ppa.where_(row_is_d, |p| -> ppa_ppc::Result<()> {
-            p.assign(&mut sow, &in_weights_t)?; // 5 (intended): SOW[d][i] = w_id
-            p.assign(&mut ptn, d_imm)?; // 6: PTN = d
-                                        // MIN_SOW is uninitialized in the paper; statement 16 reads its
-                                        // (d,d) element every iteration, so it must start at SOW_dd = 0
-                                        // for the destination column to stay pinned (fidelity note 2).
-            p.assign(&mut min_sow, &in_weights_t)?;
-            Ok(())
-        })??;
+        // The two spreads are dead once copied: they live in this block
+        // only, like each loop statement's temporaries below.
+        {
+            let in_weights = ppa.broadcast(w_plane, Direction::East, col_is_d)?; // [i][*] = w_id
+            let in_weights_t = ppa.broadcast(&in_weights, Direction::South, diag)?; // [*][i] = w_id
+            ppa.where_(row_is_d, |p| -> ppa_ppc::Result<()> {
+                // 5 (intended): SOW[d][i] = w_id
+                p.assign(&mut sow, &in_weights_t)?;
+                // 6: PTN = d
+                p.assign(&mut ptn, d_imm)?;
+                // MIN_SOW is uninitialized in the paper; statement 16 reads
+                // its (d,d) element every iteration, so it must start at
+                // SOW_dd = 0 for the destination column to stay pinned
+                // (fidelity note 2).
+                p.assign(&mut min_sow, &in_weights_t)?;
+                Ok(())
+            })??;
+        }
 
         // The counters are monotonic within the run, so the subtraction cannot
         // fail; `checked_since` keeps the stats path panic-free regardless.
@@ -298,39 +361,53 @@ impl Prepared {
             }
             iterations += 1;
 
+            // Each statement's temporaries live in a block of their own.
+            // Dropped as soon as they are dead, they keep the solve's peak
+            // of live planes low, so the allocator reuses their buffers
+            // instead of growing the heap and trimming it again (measured
+            // as minor page faults; EXPERIMENTS.md, PF2).
+
             // ---- statements 9-13, under where (ROW != d) ----
             // 10: SOW = broadcast(SOW, SOUTH, ROW == d) + W
             //     (the bus transaction is global; the mask gates the write)
             ppa.set_phase(Some("stmt 10: broadcast+add"));
-            let bsow = ppa.broadcast(&sow, Direction::South, row_is_d)?;
-            let sum = ppa.sat_add(&bsow, w_plane)?;
-            ppa.where_(row_ne_d, |p| p.assign(&mut sow, &sum))??;
+            {
+                let bsow = ppa.broadcast_open(&sow, Direction::South, &row_is_d_open)?;
+                let sum = ppa.sat_add(&bsow, w_plane)?;
+                ppa.where_(row_ne_d, |p| p.assign(&mut sow, &sum))??;
+            }
 
             // 11: MIN_SOW = min(SOW, WEST, COL == n-1)
             ppa.set_phase(Some("stmt 11: min"));
-            let rowmin = ppa.min(&sow, Direction::West, last_col)?;
-            ppa.where_(row_ne_d, |p| p.assign(&mut min_sow, &rowmin))??;
+            {
+                let rowmin = ppa.min(&sow, Direction::West, last_col)?;
+                ppa.where_(row_ne_d, |p| p.assign(&mut min_sow, &rowmin))??;
+            }
 
             // 12: PTN = selected_min(COL, WEST, COL == n-1, MIN_SOW == SOW)
             //     (+ fidelity repair: row d trivially selected so its bus
             //      cluster never floats; its result is masked away below)
             ppa.set_phase(Some("stmt 12: selected_min"));
-            let is_argmin = ppa.eq(&min_sow, &sow)?;
-            let sel = ppa.or(&is_argmin, row_is_d)?;
-            let argmin_col = ppa.selected_min(col, Direction::West, last_col, &sel)?;
-            ppa.where_(row_ne_d, |p| p.assign(&mut ptn, &argmin_col))??;
+            {
+                let is_argmin = ppa.eq(&min_sow, &sow)?;
+                let sel = ppa.or(&is_argmin, row_is_d)?;
+                let argmin_col = ppa.selected_min(col, Direction::West, last_col, &sel)?;
+                ppa.where_(row_ne_d, |p| p.assign(&mut ptn, &argmin_col))??;
+            }
 
             // ---- statements 14-18, under where (ROW == d) ----
             ppa.set_phase(Some("stmts 14-18: fold into row d"));
-            let bc_min = ppa.broadcast(&min_sow, Direction::South, diag)?; // 16 (read)
-            let bc_ptn = ppa.broadcast(&ptn, Direction::South, diag)?; // 18 (read)
-            let changed = ppa.where_(row_is_d, |p| -> ppa_ppc::Result<Parallel<bool>> {
-                p.assign(&mut old_sow, &sow)?; // 15
-                p.assign(&mut sow, &bc_min)?; // 16 (write)
-                let changed = p.ne(&sow, &old_sow)?; // 17 condition
-                p.where_(&changed, |q| q.assign(&mut ptn, &bc_ptn))??; // 17-18
-                Ok(changed)
-            })??;
+            let changed = {
+                let bc_min = ppa.broadcast_open(&min_sow, Direction::South, &diag_open)?; // 16 (read)
+                let bc_ptn = ppa.broadcast_open(&ptn, Direction::South, &diag_open)?; // 18 (read)
+                ppa.where_(row_is_d, |p| -> ppa_ppc::Result<Parallel<bool>> {
+                    p.assign(&mut old_sow, &sow)?; // 15
+                    p.assign(&mut sow, &bc_min)?; // 16 (write)
+                    let changed = p.ne(&sow, &old_sow)?; // 17 condition
+                    p.where_(&changed, |q| q.assign(&mut ptn, &bc_ptn))??; // 17-18
+                    Ok(changed)
+                })??
+            };
 
             per_iteration.push(ppa.steps().checked_since(&iter_start).unwrap_or_default());
 
@@ -424,6 +501,13 @@ impl Prepared {
             }
         }
 
+        Registers {
+            sow,
+            min_sow,
+            ptn,
+            old_sow,
+        }
+        .release();
         let total = ppa.steps().checked_since(&start).unwrap_or_default();
         Ok(McpOutput {
             dest: d,

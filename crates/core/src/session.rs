@@ -234,6 +234,24 @@ mod tests {
     }
 
     #[test]
+    fn reloaded_registers_reproduce_fresh_sessions_exactly() -> Result<()> {
+        // Solves reload the thread's spare loop registers in place (the
+        // scalar and packed sessions below even share them); every solve
+        // must still equal a fresh session's, stats included, and a
+        // failed solve in between must not disturb the next one.
+        let w = gen::random_connected(8, 0.35, 11, 13);
+        let mut scalar = McpSession::new(&w)?;
+        let mut packed = McpSession::new_packed(&w)?;
+        for d in [2usize, 5, 2, 99, 0, 7] {
+            let fresh = McpSession::new(&w)?.solve_verified(d);
+            assert_eq!(scalar.solve_verified(d), fresh, "scalar, destination {d}");
+            assert_eq!(packed.solve_verified(d), fresh, "packed, destination {d}");
+        }
+        assert_eq!(scalar.ppa().steps(), packed.ppa().steps());
+        Ok(())
+    }
+
+    #[test]
     fn session_all_pairs_matches_apsp_driver() -> Result<()> {
         let w = gen::random_digraph(7, 0.4, 9, 21);
         let mut session = McpSession::new(&w)?;

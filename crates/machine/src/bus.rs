@@ -20,7 +20,7 @@
 
 use crate::engine::{self, ExecMode};
 use crate::error::MachineError;
-use crate::geometry::{Dim, Direction};
+use crate::geometry::{Axis, Dim, Direction};
 use crate::isa::Fill;
 use crate::plane::Plane;
 
@@ -157,6 +157,69 @@ pub fn bus_or(
     }
     let data = engine::build(mode, dim.len(), |i| acc[key[i] as usize]);
     Ok(Plane::from_vec(dim, data))
+}
+
+/// Whether every cluster holds at least one set node of `values` — the
+/// same answer as `bus_or(.., values, dir, open)?.all()`, computed without
+/// cluster keys or output planes (an uncosted host-side check).
+///
+/// Each line is walked once in movement order. Set nodes seen before the
+/// line's first Open node belong to the cluster that wraps round from its
+/// last Open node; a line with no Open node is one floating cluster.
+pub fn clusters_covered(
+    dim: Dim,
+    values: &Plane<bool>,
+    dir: Direction,
+    open: &Plane<bool>,
+) -> Result<bool, MachineError> {
+    check_dim(dim, values.dim())?;
+    check_dim(dim, open.dim())?;
+    let (v, o) = (values.as_slice(), open.as_slice());
+    let covered = match dir.axis() {
+        Axis::Row => o
+            .chunks_exact(dim.cols)
+            .zip(v.chunks_exact(dim.cols))
+            .all(|(or, vr)| {
+                let line = or.iter().copied().zip(vr.iter().copied());
+                if dir.is_increasing() {
+                    line_covered(line)
+                } else {
+                    line_covered(line.rev())
+                }
+            }),
+        Axis::Col => (0..dim.cols).all(|c| {
+            let line = (0..dim.rows).map(|r| (o[r * dim.cols + c], v[r * dim.cols + c]));
+            if dir.is_increasing() {
+                line_covered(line)
+            } else {
+                line_covered(line.rev())
+            }
+        }),
+    };
+    Ok(covered)
+}
+
+/// [`clusters_covered`] for one line, given as `(open, value)` pairs in
+/// movement order.
+fn line_covered(line: impl Iterator<Item = (bool, bool)>) -> bool {
+    // Set nodes before the first Open node (the wrap-round cluster's tail).
+    let mut before_first = false;
+    // Whether the cluster opened by the latest Open node has a set node;
+    // `None` until the first Open node.
+    let mut current: Option<bool> = None;
+    for (o, v) in line {
+        if o {
+            if current == Some(false) {
+                return false;
+            }
+            current = Some(v);
+        } else if let Some(set) = current.as_mut() {
+            *set |= v;
+        } else {
+            before_first |= v;
+        }
+    }
+    current.unwrap_or(false) || before_first
 }
 
 /// The nearest-neighbour transfer with an explicit edge [`Fill`] policy:

@@ -287,8 +287,18 @@ mod tests {
         let _ = ExecMode::threaded(0);
     }
 
+    /// Serializes the tests that switch the process-wide profiler on and
+    /// off: run in parallel, one test's `take_profile` would stop the
+    /// other's accounting midway.
+    static PROFILER_TESTS: Mutex<()> = Mutex::new(());
+
+    fn profiler_exclusive() -> std::sync::MutexGuard<'static, ()> {
+        PROFILER_TESTS.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
     #[test]
     fn profile_survives_a_poisoned_mutex() {
+        let _serial = profiler_exclusive();
         // Poison PROFILE by panicking while holding its guard, then check
         // the profiling API keeps working instead of propagating the
         // poison forever.
@@ -304,6 +314,7 @@ mod tests {
 
     #[test]
     fn profiling_accounts_calls_and_worker_chunks() {
+        let _serial = profiler_exclusive();
         enable_profiling();
         let _ = build(ExecMode::Sequential, 100, |i| i);
         let _ = build(ExecMode::threaded(3), 10_000, |i| i as u64);

@@ -833,6 +833,22 @@ impl<E: Executor> Machine<E> {
         out
     }
 
+    /// [`Machine::imm`] into an existing register: one controller step,
+    /// the same as `imm`, written into `dst`'s own storage (unshared
+    /// first if other clones exist) instead of a fresh plane.
+    pub fn imm_into<T: Clone + Send + Sync>(
+        &mut self,
+        dst: &mut Plane<T>,
+        value: T,
+    ) -> Result<(), MachineError> {
+        self.check(dst)?;
+        self.issue(MicroOp::Imm, None, None);
+        let t = self.micro_start();
+        dst.as_mut_slice().fill(value);
+        self.micro_stop(Op::Alu, t);
+        Ok(())
+    }
+
     /// The hardwired `ROW` register (each PE knows its row index):
     /// one controller step to copy it into a plane.
     pub fn row_index(&mut self) -> Plane<i64> {
@@ -907,6 +923,11 @@ impl<E: Executor> Machine<E> {
     /// PEs where `mask` is false keep their previous `dst` value — the
     /// SIMD `where` construct gates register *writes*, not instruction
     /// issue.
+    ///
+    /// The write lands in `dst`'s own storage. Copy-on-write unshares it
+    /// first, so other clones of `dst` keep their values, and the packed
+    /// backend's bit-slice memo (which holds only a `Weak` to a source's
+    /// storage) can never match the edited buffer.
     pub fn assign_masked<T>(
         &mut self,
         dst: &mut Plane<T>,
@@ -923,13 +944,16 @@ impl<E: Executor> Machine<E> {
         let (occ, _) = self.plane_activity(None, mask);
         self.issue(MicroOp::AssignMasked, occ, None);
         let t = self.micro_start();
-        let (d, s, m) = (dst.as_slice(), src.as_slice(), mask.as_slice());
-        let data = self.exec.build(
-            self.mode,
-            self.dim.len(),
-            |i| if m[i] { s[i] } else { d[i] },
-        );
-        *dst = Plane::from_vec(self.dim, data);
+        for ((d, &s), &m) in dst
+            .as_mut_slice()
+            .iter_mut()
+            .zip(src.as_slice())
+            .zip(mask.as_slice())
+        {
+            if m {
+                *d = s;
+            }
+        }
         self.micro_stop(Op::Alu, t);
         Ok(())
     }
@@ -979,6 +1003,93 @@ mod tests {
         assert_eq!(m.controller().steps(Op::BusOr), 1);
         m.broadcast_open(&src, Direction::East, &l).unwrap();
         assert_eq!(m.controller().steps(Op::Broadcast), 1);
+    }
+
+    #[test]
+    fn assign_masked_writes_in_place_and_spares_other_clones() {
+        let mut m = Machine::square(4);
+        let mut dst = Plane::from_fn(m.dim(), |c| (c.row * 4 + c.col) as i64);
+        let src = Plane::from_fn(m.dim(), |c| -((c.row * 4 + c.col) as i64));
+        let mask = Plane::from_fn(m.dim(), |c| c.row == c.col);
+        let (dst_before, src_before) = (dst.clone(), src.clone());
+        m.assign_masked(&mut dst, &src, &mask).unwrap();
+        assert_eq!(
+            dst_before,
+            Plane::from_fn(m.dim(), |c| (c.row * 4 + c.col) as i64)
+        );
+        assert_eq!(src_before, src);
+        for (c, &v) in dst.enumerate() {
+            let want = if c.row == c.col { -1 } else { 1 } * (c.row * 4 + c.col) as i64;
+            assert_eq!(v, want, "at {c}");
+        }
+        assert_eq!(m.controller().steps(Op::Alu), 1);
+        // A uniquely owned destination is edited without reallocation.
+        let ptr = dst.as_slice().as_ptr();
+        m.assign_masked(&mut dst, &src_before, &mask).unwrap();
+        assert_eq!(dst.as_slice().as_ptr(), ptr);
+    }
+
+    #[test]
+    fn imm_into_reloads_in_place_at_the_cost_of_imm() {
+        let mut m = Machine::square(3);
+        let mut reg = m.imm(5i64);
+        let alias = reg.clone();
+        m.imm_into(&mut reg, 9).unwrap();
+        assert!(reg.iter().all(|&v| v == 9));
+        assert!(
+            alias.iter().all(|&v| v == 5),
+            "other clones keep their values"
+        );
+        let ptr = reg.as_slice().as_ptr();
+        m.imm_into(&mut reg, 1).unwrap();
+        assert_eq!(reg.as_slice().as_ptr(), ptr, "a unique register is reused");
+        assert_eq!(m.controller().steps(Op::Alu), 3);
+        assert_eq!(m.controller().total_steps(), 3);
+        let mut wrong = Plane::filled(Dim::new(2, 3), 0i64);
+        assert!(matches!(
+            m.imm_into(&mut wrong, 1),
+            Err(MachineError::DimMismatch { .. })
+        ));
+    }
+
+    /// A fault-routed `broadcast_open` is the plane-form broadcast: same
+    /// values, same error, same per-class steps, on both backends.
+    fn faulted_broadcast_open_matches_plane_form<E: Executor>(fresh: impl Fn() -> Machine<E>) {
+        let dim = fresh().dim();
+        let src = Plane::from_fn(dim, |c| (c.row * 10 + c.col) as i64);
+        let patterns = [
+            Plane::from_fn(dim, |c| c.row == 2),     // statement 10: ROW == d
+            Plane::from_fn(dim, |c| c.row == c.col), // statements 16, 18
+            Plane::from_fn(dim, |c| c.col == 4),     // statement 13: COL == n-1
+        ];
+        for at in [Coord::new(2, 2), Coord::new(0, 3), Coord::new(4, 1)] {
+            for fault in [SwitchFault::StuckOpen, SwitchFault::StuckShort] {
+                let mut fm = FaultMap::new();
+                fm.inject(at, fault);
+                for open in &patterns {
+                    for dir in [Direction::South, Direction::West] {
+                        let mut plane_form = fresh();
+                        let mut mask_form = fresh();
+                        plane_form.attach_faults(fm.clone());
+                        mask_form.attach_faults(fm.clone());
+                        let want = plane_form.broadcast(&src, dir, open);
+                        let packed = mask_form.pack_mask(open).unwrap();
+                        let got = mask_form.broadcast_open(&src, dir, &packed);
+                        assert_eq!(got, want, "{at} {fault:?} {dir:?}");
+                        assert_eq!(
+                            mask_form.controller().report(),
+                            plane_form.controller().report()
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn faulted_broadcast_open_matches_plane_form_on_both_backends() {
+        faulted_broadcast_open_matches_plane_form(|| Machine::square(5));
+        faulted_broadcast_open_matches_plane_form(|| Machine::packed_square(5));
     }
 
     #[test]

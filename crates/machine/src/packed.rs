@@ -359,7 +359,13 @@ fn broadcast_rows<T: Copy, W: Word>(
             driverless.extend((0..cols).filter(|&c| !seen[c]));
             Vec::new()
         } else {
-            let mut out = src.to_vec();
+            // Rows are produced in movement order: appended as they come
+            // when that is top to bottom, otherwise written into a
+            // pre-sized plane.
+            let mut out = Vec::with_capacity(dim.len());
+            if !dir.is_increasing() {
+                out.resize(dim.len(), carry[0]);
+            }
             for p in 0..rows {
                 let r = row_at(p);
                 opens.clear();
@@ -367,7 +373,11 @@ fn broadcast_rows<T: Copy, W: Word>(
                 for &c in opens.iter() {
                     carry[c] = src[r * cols + c];
                 }
-                out[r * cols..(r + 1) * cols].copy_from_slice(&carry);
+                if dir.is_increasing() {
+                    out.extend_from_slice(&carry);
+                } else {
+                    out[r * cols..(r + 1) * cols].copy_from_slice(&carry);
+                }
             }
             out
         }

@@ -2,7 +2,7 @@
 //! engine equivalence, and fault-map consistency.
 
 #![allow(clippy::needless_range_loop)]
-use ppa_machine::bus::{broadcast, bus_or, cluster_heads, shift, shift_wrapping};
+use ppa_machine::bus::{broadcast, bus_or, cluster_heads, clusters_covered, shift, shift_wrapping};
 use ppa_machine::faults::{FaultMap, SwitchFault};
 use ppa_machine::{Coord, Dim, Direction, ExecMode, Plane};
 use proptest::prelude::*;
@@ -166,5 +166,94 @@ proptest! {
         prop_assert!(!fm.distorts(&once));
         // And distortion <=> the effective mask differs from the intent.
         prop_assert_eq!(fm.distorts(&intended), once != intended);
+    }
+}
+
+/// SplitMix64: a seeded, dependency-free source for the sweep below.
+fn splitmix(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}
+
+/// A plane whose cells are set with probability `per_mille / 1000`.
+fn random_plane(dim: Dim, per_mille: u64, state: &mut u64) -> Plane<bool> {
+    Plane::from_vec(
+        dim,
+        (0..dim.len())
+            .map(|_| splitmix(state) % 1000 < per_mille)
+            .collect(),
+    )
+}
+
+#[test]
+fn clusters_covered_matches_the_wired_or_guardrail() {
+    const DIRS: [Direction; 4] = [
+        Direction::North,
+        Direction::East,
+        Direction::South,
+        Direction::West,
+    ];
+    let dims = [(1, 1), (3, 5), (5, 13), (9, 31), (1, 65), (65, 1), (21, 21)];
+    let mut state = 0x5eed_u64;
+    let (mut covered_cases, mut uncovered_cases) = (0, 0);
+    for (rows, cols) in dims {
+        let dim = Dim::new(rows, cols);
+        for trial in 0..4 {
+            // Open patterns: dense, sparse (most lines driverless), all
+            // Short (every line one floating cluster), and one Open node
+            // per row and column (every line driven).
+            let opens = [
+                random_plane(dim, 500, &mut state),
+                random_plane(dim, 40, &mut state),
+                Plane::filled(dim, false),
+                Plane::from_fn(dim, |c| c.row % cols == c.col % rows),
+            ];
+            for open in &opens {
+                // Selections: empty, sparse, full, every Open node (covers
+                // every driven cluster, no driverless line), and full but
+                // one node.
+                let hole = (splitmix(&mut state) as usize) % dim.len();
+                let sels = [
+                    Plane::filled(dim, false),
+                    random_plane(dim, 60 + 200 * trial, &mut state),
+                    Plane::filled(dim, true),
+                    open.clone(),
+                    Plane::from_vec(dim, (0..dim.len()).map(|i| i != hole).collect()),
+                ];
+                for sel in &sels {
+                    for dir in DIRS {
+                        let want = bus_or(SEQ, dim, sel, dir, open).unwrap().all();
+                        let got = clusters_covered(dim, sel, dir, open).unwrap();
+                        assert_eq!(got, want, "{dim} {dir:?} trial {trial}");
+                        if want {
+                            covered_cases += 1;
+                        } else {
+                            uncovered_cases += 1;
+                        }
+                    }
+                }
+            }
+        }
+    }
+    // Both answers are exercised, not just the trivial one.
+    assert!(covered_cases > 100 && uncovered_cases > 100);
+}
+
+#[test]
+fn clusters_covered_rejects_mismatched_planes() {
+    let dim = Dim::new(3, 4);
+    let good = Plane::filled(dim, true);
+    let bad = Plane::filled(Dim::new(4, 3), true);
+    for (sel, open) in [(&bad, &good), (&good, &bad)] {
+        assert_eq!(
+            clusters_covered(dim, sel, Direction::East, open),
+            Err(ppa_machine::MachineError::DimMismatch {
+                expected: dim,
+                found: bad.dim()
+            })
+        );
     }
 }

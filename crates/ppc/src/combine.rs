@@ -95,10 +95,7 @@ impl<E: Executor> Ppa<E> {
         // Guardrail (uncosted): every cluster must select at least one node,
         // otherwise statements 11-12 would leak a value across clusters.
         if let Some(sel) = sel {
-            let machine = self.machine();
-            let covered =
-                bus::bus_or(machine.mode(), machine.dim(), sel, dir, l).map_err(PpcError::from)?;
-            if !covered.all() {
+            if !bus::clusters_covered(self.dim(), sel, dir, l)? {
                 return Err(PpcError::EmptySelection);
             }
         }
@@ -118,9 +115,9 @@ impl<E: Executor> Ppa<E> {
         }
 
         // The switch pattern is loop-invariant: pack it once (a register
-        // view, uncosted) so every bus instruction of the scan can reuse
-        // the backend's cached cluster plan for it.
-        let l_mask = self.machine_mut().pack_mask(l)?;
+        // view, uncosted). Every wired-OR of the scan reuses the backend's
+        // cached cluster plan for it, and statement 13 broadcasts with it.
+        let l_mask = self.pack_open(l)?;
         // `keep_low` selects the Min voting/knockout rules in the backend.
         let keep_low = which == Extreme::Min;
 
@@ -155,14 +152,17 @@ impl<E: Executor> Ppa<E> {
         if observed {
             self.enter_span("resolve");
         }
-        let to_head = self
-            .machine_mut()
-            .broadcast_open(src, dir.opposite(), &enable)?;
         let mut staged = src.clone();
-        self.machine_mut().assign_masked(&mut staged, &to_head, l)?;
+        {
+            // Dead once latched: dropped before statement 13 allocates.
+            let to_head = self
+                .machine_mut()
+                .broadcast_open(src, dir.opposite(), &enable)?;
+            self.machine_mut().assign_masked(&mut staged, &to_head, l)?;
+        }
 
         // Statement 13: the heads re-broadcast to their whole cluster.
-        let out = self.broadcast(&staged, dir, l);
+        let out = self.broadcast_open(&staged, dir, &l_mask);
         if observed {
             self.exit_span(); // resolve
             self.exit_span(); // the routine span
@@ -290,6 +290,61 @@ mod tests {
             ppa.selected_min(&v, Direction::West, &l, &sel),
             Err(PpcError::EmptySelection)
         );
+    }
+
+    /// An uncovered cluster is caught by the uncosted guardrail before
+    /// the routine issues anything, on either backend.
+    fn empty_selection_issues_no_step<E: Executor>(mut ppa: Ppa<E>) {
+        let v = Parallel::from_fn(ppa.dim(), |c| (c.row * 5 + c.col) as i64);
+        // Two clusters per row (heads at columns 1 and 4, movement West):
+        // row 2 selects only inside the first one.
+        let l = Parallel::from_fn(ppa.dim(), |c| c.col == 1 || c.col == 4);
+        let sel = Parallel::from_fn(ppa.dim(), |c| c.row != 2 || c.col == 0);
+        ppa.reset_steps();
+        assert_eq!(
+            ppa.selected_min(&v, Direction::West, &l, &sel),
+            Err(PpcError::EmptySelection)
+        );
+        assert_eq!(ppa.steps().total(), 0);
+        // Covering the other cluster makes the same call legal.
+        let sel = Parallel::from_fn(ppa.dim(), |c| c.row != 2 || c.col == 0 || c.col == 2);
+        assert!(ppa.selected_min(&v, Direction::West, &l, &sel).is_ok());
+        assert!(ppa.steps().total() > 0);
+    }
+
+    #[test]
+    fn empty_selection_issues_no_step_on_either_backend() {
+        empty_selection_issues_no_step(Ppa::square(5).with_word_bits(8));
+        empty_selection_issues_no_step(Ppa::packed(5).with_word_bits(8));
+    }
+
+    #[test]
+    fn min_after_an_in_place_write_sees_the_new_values() {
+        // The packed backend memoizes the bit slices of a scan source; a
+        // masked write into that same source must not replay them.
+        fn run<E: Executor>(mut ppa: Ppa<E>) -> (Parallel<i64>, Parallel<i64>) {
+            let mut x = Parallel::from_fn(ppa.dim(), |c| ((c.row * 7 + c.col * 3) % 50) as i64);
+            let l = Parallel::from_fn(ppa.dim(), |c| c.col == 5);
+            let first = ppa.min(&x, Direction::West, &l).unwrap();
+            let low = Parallel::from_fn(ppa.dim(), |c| c.row as i64);
+            let mask = Parallel::from_fn(ppa.dim(), |c| c.col == 2);
+            ppa.machine_mut()
+                .assign_masked(&mut x, &low, &mask)
+                .unwrap();
+            let second = ppa.min(&x, Direction::West, &l).unwrap();
+            (first, second)
+        }
+        let scalar = run(Ppa::square(6).with_word_bits(8));
+        let packed = run(Ppa::packed(6).with_word_bits(8));
+        assert_eq!(scalar, packed);
+        assert_ne!(scalar.0, scalar.1, "the write must lower some row minima");
+        for r in 0..6 {
+            assert!(scalar
+                .1
+                .row(r)
+                .iter()
+                .all(|&m| m == (r as i64).min(*scalar.0.at(r, 0))));
+        }
     }
 
     #[test]

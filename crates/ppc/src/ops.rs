@@ -120,8 +120,16 @@ impl<E: Executor> Ppa<E> {
     /// Checks (without issuing controller steps — this is a simulator
     /// guardrail, not a machine instruction) that every element of `a` fits
     /// the `h`-bit unsigned word scanned by the bit-serial routines.
+    ///
+    /// `MAXINT` is `2^h - 1` and a negative value has its sign bit set, so
+    /// every value fits iff the OR of all values, read as `u64`, does not
+    /// exceed `MAXINT`. Only a failing fold rescans, to report the first
+    /// offender in row-major order.
     pub fn check_representable(&self, a: &Parallel<i64>) -> Result<()> {
         let max = self.maxint();
+        if a.iter().fold(0u64, |acc, &v| acc | v as u64) <= max as u64 {
+            return Ok(());
+        }
         for &v in a.iter() {
             if v < 0 || v > max {
                 return Err(crate::PpcError::ValueOutOfRange(v));
@@ -229,6 +237,39 @@ mod tests {
         ));
         let neg = Parallel::filled(ppa.dim(), -1i64);
         assert!(ppa.check_representable(&neg).is_err());
+    }
+
+    #[test]
+    fn representability_names_the_first_offender_in_row_major_order() {
+        let ppa = Ppa::square(3).with_word_bits(4);
+        let check = |row_major: [i64; 9]| {
+            ppa.check_representable(&Parallel::from_vec(ppa.dim(), row_major.to_vec()))
+        };
+        let first = |v| Err(PpcError::ValueOutOfRange(v));
+        assert_eq!(check([7, 7, 7, 7, 7, -3, 7, 7, 7]), first(-3));
+        assert_eq!(check([7, 7, 7, 7, 7, 7, 16, 99, 7]), first(16));
+        // A later negative does not pre-empt an earlier overflow, and vice
+        // versa.
+        assert_eq!(check([7, 7, 40, -1, 7, 7, 7, 7, 7]), first(40));
+        assert_eq!(
+            check([7, i64::MIN, 7, 7, 7, 7, 7, 7, 1 << 20]),
+            first(i64::MIN)
+        );
+        assert!(check([7, 7, 7, 7, 7, 7, 7, 7, 15]).is_ok());
+    }
+
+    #[test]
+    fn representability_at_the_widest_word() {
+        let ppa = Ppa::square(2).with_word_bits(62);
+        let max = (1i64 << 62) - 1;
+        assert_eq!(ppa.maxint(), max);
+        let fits = Parallel::from_fn(ppa.dim(), |c| if c.col == 1 { max } else { 0 });
+        assert!(ppa.check_representable(&fits).is_ok());
+        let over = Parallel::from_fn(ppa.dim(), |c| if c.row == 1 { 1 << 62 } else { max });
+        assert_eq!(
+            ppa.check_representable(&over),
+            Err(PpcError::ValueOutOfRange(1 << 62))
+        );
     }
 
     #[test]

@@ -389,6 +389,17 @@ impl<E: Executor> Ppa<E> {
         self.machine.imm(value)
     }
 
+    /// [`Ppa::constant`] into an existing parallel variable (one step,
+    /// no new plane): how a session reloads the registers it keeps
+    /// between solves.
+    pub fn constant_into<T: Clone + Send + Sync>(
+        &mut self,
+        dst: &mut Parallel<T>,
+        value: T,
+    ) -> Result<()> {
+        Ok(self.machine.imm_into(dst, value)?)
+    }
+
     /// Per-lane scalar broadcast: lane `l` (columns `l*lane_cols ..
     /// (l+1)*lane_cols`) receives `values[l]` (one step — each lane's
     /// sub-controller issues its immediate in lockstep).
@@ -430,6 +441,24 @@ impl<E: Executor> Ppa<E> {
         open: &Parallel<bool>,
     ) -> Result<Parallel<T>> {
         Ok(self.machine.broadcast(src, dir, open)?)
+    }
+
+    /// Packs a loop-invariant switch pattern into the backend mask form
+    /// once (a register view: no step). Pass the result to
+    /// [`Ppa::broadcast_open`] instead of re-packing the plane per call.
+    pub fn pack_open(&mut self, open: &Parallel<bool>) -> Result<E::Mask> {
+        Ok(self.machine.pack_mask(open)?)
+    }
+
+    /// [`Ppa::broadcast`] with the switch pattern held as a packed mask:
+    /// the same one step, fault routing and result.
+    pub fn broadcast_open<T: Copy + Send + Sync + 'static>(
+        &mut self,
+        src: &Parallel<T>,
+        dir: Direction,
+        open: &E::Mask,
+    ) -> Result<Parallel<T>> {
+        Ok(self.machine.broadcast_open(src, dir, open)?)
     }
 
     /// Cluster-wide wired-OR (one step): the `or(x, dir, L)` routine used

@@ -5,8 +5,11 @@
 //! destinations instead of re-allocating.
 
 use ppa_graph::gen;
-use ppa_machine::PackedBackend;
-use ppa_mcp::{apsp, mcp::minimum_cost_path, McpSession};
+use ppa_machine::faults::{FaultMap, SwitchFault};
+use ppa_machine::{Coord, PackedBackend};
+use ppa_mcp::batch::{replicate, BatchSession};
+use ppa_mcp::mcp::{minimum_cost_path, minimum_cost_path_verified};
+use ppa_mcp::{apsp, McpSession};
 use ppa_ppc::Ppa;
 
 #[test]
@@ -66,4 +69,47 @@ fn session_reuses_planes_and_plans_across_destinations() {
         done.plan_hit_rate() > 0.9,
         "bus-plan cache should be warm across destinations: {done:?}"
     );
+}
+
+#[test]
+fn faulted_solves_stay_bit_identical_across_backends() {
+    // Statements 10, 16 and 18 broadcast through packed switch patterns
+    // (`row_is_d`, `diag`); with a fault map attached those broadcasts
+    // are routed through the faulty hardware's effective pattern. Scalar
+    // and packed must agree on every outcome and every step class, for
+    // solo solves and lane-batched waves alike.
+    let n = 7;
+    let d = 2;
+    let w = gen::random_connected(n, 0.35, 12, 23);
+    let h = ppa_mcp::mcp::fit_word_bits(&w).clamp(2, 62);
+    let sites = [(d, d), (d, 5), (4, 4), (3, n - 1), (0, 1)];
+    let mut corrupted = 0;
+    for (r, c) in sites {
+        for fault in [SwitchFault::StuckOpen, SwitchFault::StuckShort] {
+            let mut fm = FaultMap::new();
+            fm.inject(Coord::new(r, c), fault);
+            let label = format!("{fault:?} at ({r},{c})");
+
+            let mut scalar = Ppa::square(n).with_word_bits(h);
+            let mut packed = Ppa::<PackedBackend>::packed(n).with_word_bits(h);
+            scalar.machine_mut().attach_faults(fm.clone());
+            packed.machine_mut().attach_faults(fm.clone());
+            let a = minimum_cost_path_verified(&mut scalar, &w, d);
+            let b = minimum_cost_path_verified(&mut packed, &w, d);
+            assert_eq!(format!("{a:?}"), format!("{b:?}"), "solo, {label}");
+            assert_eq!(scalar.steps(), packed.steps(), "solo, {label}");
+            corrupted += usize::from(a.is_err());
+
+            let graphs = replicate(&w, 3);
+            let mut scalar = BatchSession::new(&graphs).unwrap();
+            let mut packed = BatchSession::new_packed(&graphs).unwrap();
+            scalar.ppa_mut().machine_mut().attach_faults(fm.clone());
+            packed.ppa_mut().machine_mut().attach_faults(fm);
+            let a = scalar.solve_verified(&[d, 0, 5]);
+            let b = packed.solve_verified(&[d, 0, 5]);
+            assert_eq!(format!("{a:?}"), format!("{b:?}"), "batch, {label}");
+            assert_eq!(scalar.ppa().steps(), packed.ppa().steps(), "batch, {label}");
+        }
+    }
+    assert!(corrupted > 0, "some planted fault must disturb the solve");
 }
