@@ -1,11 +1,11 @@
 //! Criterion bench for experiment T6: raw simulator primitives.
 //!
 //! Measures the host cost of single machine instructions (broadcast,
-//! wired-OR, ALU map) across array sizes and execution modes — the
-//! steps/second denominator of the T6 table.
+//! wired-OR, ALU map) across array sizes — the steps/second denominator
+//! of the T6 table.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use ppa_machine::{Direction, ExecMode, Machine, Plane};
+use ppa_machine::{Direction, Machine, Plane};
 use std::hint::black_box;
 
 fn bench_broadcast(c: &mut Criterion) {
@@ -27,21 +27,15 @@ fn bench_broadcast(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_alu_modes(c: &mut Criterion) {
+fn bench_alu_map(c: &mut Criterion) {
     let mut group = c.benchmark_group("machine_alu_map");
     group.sample_size(20);
     let n = 256;
-    for (label, mode) in [
-        ("seq", ExecMode::Sequential),
-        ("thr2", ExecMode::threaded(2)),
-        ("thr4", ExecMode::threaded(4)),
-    ] {
-        group.bench_function(label, |b| {
-            let mut m = Machine::with_mode(ppa_machine::Dim::square(n), mode);
-            let src = Plane::from_fn(m.dim(), |c| (c.row ^ c.col) as i64);
-            b.iter(|| black_box(m.map(black_box(&src), |&v| v.wrapping_mul(31) + 7).unwrap()));
-        });
-    }
+    group.bench_function("n256", |b| {
+        let mut m = Machine::square(n);
+        let src = Plane::from_fn(m.dim(), |c| (c.row ^ c.col) as i64);
+        b.iter(|| black_box(m.map(black_box(&src), |&v| v.wrapping_mul(31) + 7).unwrap()));
+    });
     group.finish();
 }
 
@@ -58,5 +52,5 @@ fn bench_bus_or(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_broadcast, bench_alu_modes, bench_bus_or);
+criterion_group!(benches, bench_broadcast, bench_alu_map, bench_bus_or);
 criterion_main!(benches);

@@ -2,8 +2,7 @@
 //!
 //! ```text
 //! solve <graph-file> --dest <d> [--problem shortest|widest|hops|reach]
-//!                                [--backend scalar|packed|threaded]
-//!                                [--threads K] [--word 64|256]
+//!                                [--backend scalar|packed]
 //!                                [--source] [--steps] [--paths]
 //!                                [--trace FILE] [--metrics FILE]
 //! solve <graph-file> --dest <d> --serve [--workers N] [--deadline-ms D]
@@ -18,12 +17,9 @@
 //! `--trace FILE` writes a Chrome `trace_event` document of the run
 //! (load in Perfetto; timestamps are controller step indices) and
 //! `--metrics FILE` a metrics snapshot JSON. `--backend` selects the
-//! execution backend: `scalar` (the reference), `packed` (u64 bit-plane
-//! masks with bus-plan caching), or `threaded` (packed word rows sharded
-//! across a `--threads K` worker pool) — results and step counts are
-//! identical on all three, only host wall-clock differs. `--word 256`
-//! switches the packed/threaded backends from 64-bit machine words to
-//! 256-bit SWAR words (4×u64 limbs); results stay bit-identical.
+//! execution backend: `scalar` (the reference) or `packed` (u64
+//! bit-plane masks with bus-plan caching) — results and step counts are
+//! identical on both, only host wall-clock differs.
 //!
 //! `--batch L` turns on lane batching. Inline (`--problem shortest`) it
 //! solves a wavefront of `L` destinations — `d`, `d+1`, … mod `n` — on
@@ -57,7 +53,7 @@
 //!   single-process run.
 
 use ppa_graph::{gen, io, WeightMatrix, INF};
-use ppa_machine::{Executor, PackedBackend, ThreadedBackend, WordWidth, W256};
+use ppa_machine::{Executor, PackedBackend};
 use ppa_mcp::closure::{hop_levels, reachability};
 use ppa_mcp::mcp::fit_word_bits;
 use ppa_mcp::path::extract_path;
@@ -73,8 +69,6 @@ struct Options {
     problem: String,
     source_mode: bool,
     backend: String,
-    threads: usize,
-    word: WordWidth,
     show_steps: bool,
     show_paths: bool,
     trace_file: Option<String>,
@@ -94,14 +88,14 @@ fn usage() -> ! {
     eprintln!(
         "usage: solve <graph-file | --demo> --dest <d> \
          [--problem shortest|widest|hops|reach] \
-         [--backend scalar|packed|threaded] [--threads K] [--word 64|256] \
+         [--backend scalar|packed] \
          [--batch L] [--redundancy off|dmr|tmr|tmr-detect] \
          [--source] [--steps] [--paths] [--trace FILE] [--metrics FILE] \
          [--serve [--workers N] [--deadline-ms D] [--budget STEPS] \
          [--status-every MS]] [--connect ADDR]\n       \
-         solve --listen ADDR [--workers N] [--threads K] [--word 64|256] \
+         solve --listen ADDR [--workers N] \
          [--batch L] [--redundancy off|dmr|tmr|tmr-detect] \
-         [--backend scalar|packed|threaded] [--status-every MS]\n       \
+         [--backend scalar|packed] [--status-every MS]\n       \
          solve shard-worker <graph-file> --shard I --of N \
          --checkpoint PATH [--every K] [--workers N] [--stall-ms MS]\n       \
          solve shard-merge --out PATH <shard.json>..."
@@ -117,8 +111,6 @@ fn parse_args() -> Options {
         problem: "shortest".into(),
         source_mode: false,
         backend: "scalar".into(),
-        threads: 4,
-        word: WordWidth::W64,
         show_steps: false,
         show_paths: false,
         trace_file: None,
@@ -143,21 +135,6 @@ fn parse_args() -> Options {
             }
             "--problem" => opts.problem = args.next().unwrap_or_else(|| usage()),
             "--backend" => opts.backend = args.next().unwrap_or_else(|| usage()),
-            "--threads" => {
-                let v = args.next().unwrap_or_else(|| usage());
-                opts.threads = v.parse().unwrap_or_else(|_| usage());
-                if opts.threads == 0 {
-                    eprintln!("--threads must be at least 1");
-                    usage()
-                }
-            }
-            "--word" => {
-                let v = args.next().unwrap_or_else(|| usage());
-                opts.word = v.parse().unwrap_or_else(|_| {
-                    eprintln!("--word takes 64 or 256, got `{v}`");
-                    usage()
-                });
-            }
             "--source" => opts.source_mode = true,
             "--steps" => opts.show_steps = true,
             "--paths" => opts.show_paths = true,
@@ -311,15 +288,7 @@ fn main() {
         opts.problem
     );
 
-    let backend = match opts.backend.as_str() {
-        "scalar" => Backend::Scalar,
-        "packed" => Backend::Packed,
-        "threaded" => Backend::Threaded,
-        other => {
-            eprintln!("unknown backend `{other}`");
-            usage()
-        }
-    };
+    let backend = parse_backend(&opts.backend);
     if let Some(addr) = &opts.connect {
         run_connect(addr, &w, d, &opts);
         return;
@@ -328,7 +297,6 @@ fn main() {
         run_serve(w, d, backend, &opts);
         return;
     }
-    let k = opts.threads;
     if opts.batch.is_some() && opts.problem != "shortest" {
         eprintln!("--batch without --serve supports only --problem shortest");
         exit(2);
@@ -350,30 +318,10 @@ fn main() {
                 return run_shortest_batched(backend, &w, d, lanes, &opts);
             }
             let h = fit_word_bits(&w).clamp(2, 62);
-            match (backend, opts.word) {
-                (Backend::Scalar, _) => {
-                    run_shortest(Ppa::square(w.n()).with_word_bits(h), &w, d, &opts)
-                }
-                (Backend::Packed, WordWidth::W64) => run_shortest(
+            match backend {
+                Backend::Scalar => run_shortest(Ppa::square(w.n()).with_word_bits(h), &w, d, &opts),
+                Backend::Packed => run_shortest(
                     Ppa::<PackedBackend>::packed(w.n()).with_word_bits(h),
-                    &w,
-                    d,
-                    &opts,
-                ),
-                (Backend::Packed, WordWidth::W256) => run_shortest(
-                    Ppa::<PackedBackend<W256>>::packed_wide(w.n()).with_word_bits(h),
-                    &w,
-                    d,
-                    &opts,
-                ),
-                (Backend::Threaded, WordWidth::W64) => run_shortest(
-                    Ppa::<ThreadedBackend>::threaded(w.n(), k).with_word_bits(h),
-                    &w,
-                    d,
-                    &opts,
-                ),
-                (Backend::Threaded, WordWidth::W256) => run_shortest(
-                    Ppa::<ThreadedBackend<W256>>::threaded_wide(w.n(), k).with_word_bits(h),
                     &w,
                     d,
                     &opts,
@@ -382,71 +330,23 @@ fn main() {
         }
         "widest" => {
             let h = w.required_word_bits().clamp(4, 62);
-            match (backend, opts.word) {
-                (Backend::Scalar, _) => {
-                    run_widest(Ppa::square(w.n()).with_word_bits(h), &w, d, &opts)
-                }
-                (Backend::Packed, WordWidth::W64) => run_widest(
+            match backend {
+                Backend::Scalar => run_widest(Ppa::square(w.n()).with_word_bits(h), &w, d, &opts),
+                Backend::Packed => run_widest(
                     Ppa::<PackedBackend>::packed(w.n()).with_word_bits(h),
-                    &w,
-                    d,
-                    &opts,
-                ),
-                (Backend::Packed, WordWidth::W256) => run_widest(
-                    Ppa::<PackedBackend<W256>>::packed_wide(w.n()).with_word_bits(h),
-                    &w,
-                    d,
-                    &opts,
-                ),
-                (Backend::Threaded, WordWidth::W64) => run_widest(
-                    Ppa::<ThreadedBackend>::threaded(w.n(), k).with_word_bits(h),
-                    &w,
-                    d,
-                    &opts,
-                ),
-                (Backend::Threaded, WordWidth::W256) => run_widest(
-                    Ppa::<ThreadedBackend<W256>>::threaded_wide(w.n(), k).with_word_bits(h),
                     &w,
                     d,
                     &opts,
                 ),
             }
         }
-        "hops" => match (backend, opts.word) {
-            (Backend::Scalar, _) => run_hops(Ppa::square(w.n()), &w, d, &opts),
-            (Backend::Packed, WordWidth::W64) => {
-                run_hops(Ppa::<PackedBackend>::packed(w.n()), &w, d, &opts)
-            }
-            (Backend::Packed, WordWidth::W256) => {
-                run_hops(Ppa::<PackedBackend<W256>>::packed_wide(w.n()), &w, d, &opts)
-            }
-            (Backend::Threaded, WordWidth::W64) => {
-                run_hops(Ppa::<ThreadedBackend>::threaded(w.n(), k), &w, d, &opts)
-            }
-            (Backend::Threaded, WordWidth::W256) => run_hops(
-                Ppa::<ThreadedBackend<W256>>::threaded_wide(w.n(), k),
-                &w,
-                d,
-                &opts,
-            ),
+        "hops" => match backend {
+            Backend::Scalar => run_hops(Ppa::square(w.n()), &w, d, &opts),
+            Backend::Packed => run_hops(Ppa::<PackedBackend>::packed(w.n()), &w, d, &opts),
         },
-        "reach" => match (backend, opts.word) {
-            (Backend::Scalar, _) => run_reach(Ppa::square(w.n()), &w, d, &opts),
-            (Backend::Packed, WordWidth::W64) => {
-                run_reach(Ppa::<PackedBackend>::packed(w.n()), &w, d, &opts)
-            }
-            (Backend::Packed, WordWidth::W256) => {
-                run_reach(Ppa::<PackedBackend<W256>>::packed_wide(w.n()), &w, d, &opts)
-            }
-            (Backend::Threaded, WordWidth::W64) => {
-                run_reach(Ppa::<ThreadedBackend>::threaded(w.n(), k), &w, d, &opts)
-            }
-            (Backend::Threaded, WordWidth::W256) => run_reach(
-                Ppa::<ThreadedBackend<W256>>::threaded_wide(w.n(), k),
-                &w,
-                d,
-                &opts,
-            ),
+        "reach" => match backend {
+            Backend::Scalar => run_reach(Ppa::square(w.n()), &w, d, &opts),
+            Backend::Packed => run_reach(Ppa::<PackedBackend>::packed(w.n()), &w, d, &opts),
         },
         other => {
             eprintln!("unknown problem `{other}`");
@@ -460,7 +360,18 @@ fn main() {
 enum Backend {
     Scalar,
     Packed,
-    Threaded,
+}
+
+/// Parses `--backend`; an unknown name is a usage error.
+fn parse_backend(name: &str) -> Backend {
+    match name {
+        "scalar" => Backend::Scalar,
+        "packed" => Backend::Packed,
+        other => {
+            eprintln!("unknown backend `{other}`");
+            usage()
+        }
+    }
 }
 
 /// Serve-mode runner: one job through a [`ppa_serve::SolveService`]
@@ -485,9 +396,6 @@ fn run_serve(w: WeightMatrix, d: usize, backend: Backend, opts: &Options) {
     let mut config = ServeConfig {
         workers: opts.workers.max(1),
         prefer_packed: backend == Backend::Packed,
-        prefer_threaded: backend == Backend::Threaded,
-        threads: opts.threads,
-        word: opts.word,
         ..ServeConfig::default()
     };
     if let Some(lanes) = opts.batch {
@@ -633,10 +541,7 @@ fn run_listen(addr: &str, opts: &Options) {
 
     let mut config = ServeConfig {
         workers: opts.workers.max(1),
-        prefer_packed: opts.backend == "packed",
-        prefer_threaded: opts.backend == "threaded",
-        threads: opts.threads,
-        word: opts.word,
+        prefer_packed: parse_backend(&opts.backend) == Backend::Packed,
         ..ServeConfig::default()
     };
     if let Some(lanes) = opts.batch {
@@ -969,35 +874,15 @@ fn run_shortest_batched(
         eprintln!("solver error: {e}");
         exit(1)
     };
-    match (backend, opts.word) {
-        (Backend::Scalar, _) => drive_batch(
+    match backend {
+        Backend::Scalar => drive_batch(
             BatchSession::new(&graphs).unwrap_or_else(|e| die(e)),
             &dests,
             w,
             opts,
         ),
-        (Backend::Packed, WordWidth::W64) => drive_batch(
+        Backend::Packed => drive_batch(
             BatchSession::new_packed(&graphs).unwrap_or_else(|e| die(e)),
-            &dests,
-            w,
-            opts,
-        ),
-        (Backend::Packed, WordWidth::W256) => drive_batch(
-            BatchSession::<PackedBackend<W256>>::new_packed_wide(&graphs)
-                .unwrap_or_else(|e| die(e)),
-            &dests,
-            w,
-            opts,
-        ),
-        (Backend::Threaded, WordWidth::W64) => drive_batch(
-            BatchSession::new_threaded(&graphs, opts.threads).unwrap_or_else(|e| die(e)),
-            &dests,
-            w,
-            opts,
-        ),
-        (Backend::Threaded, WordWidth::W256) => drive_batch(
-            BatchSession::<ThreadedBackend<W256>>::new_threaded_wide(&graphs, opts.threads)
-                .unwrap_or_else(|e| die(e)),
             &dests,
             w,
             opts,
@@ -1021,39 +906,16 @@ fn run_shortest_redundant(backend: Backend, w: &WeightMatrix, d: usize, opts: &O
         eprintln!("solver error: {e}");
         exit(1)
     };
-    match (backend, opts.word) {
-        (Backend::Scalar, _) => drive_redundant(
+    match backend {
+        Backend::Scalar => drive_redundant(
             BatchSession::new(&graphs).unwrap_or_else(|e| die(e)),
             w,
             d,
             mode,
             opts,
         ),
-        (Backend::Packed, WordWidth::W64) => drive_redundant(
+        Backend::Packed => drive_redundant(
             BatchSession::new_packed(&graphs).unwrap_or_else(|e| die(e)),
-            w,
-            d,
-            mode,
-            opts,
-        ),
-        (Backend::Packed, WordWidth::W256) => drive_redundant(
-            BatchSession::<PackedBackend<W256>>::new_packed_wide(&graphs)
-                .unwrap_or_else(|e| die(e)),
-            w,
-            d,
-            mode,
-            opts,
-        ),
-        (Backend::Threaded, WordWidth::W64) => drive_redundant(
-            BatchSession::new_threaded(&graphs, opts.threads).unwrap_or_else(|e| die(e)),
-            w,
-            d,
-            mode,
-            opts,
-        ),
-        (Backend::Threaded, WordWidth::W256) => drive_redundant(
-            BatchSession::<ThreadedBackend<W256>>::new_threaded_wide(&graphs, opts.threads)
-                .unwrap_or_else(|e| die(e)),
             w,
             d,
             mode,

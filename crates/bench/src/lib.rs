@@ -22,7 +22,7 @@ pub use table::Table;
 
 use ppa_baselines::{Gcn, Hypercube, McpSolver, PlainMesh, SequentialBf};
 use ppa_graph::{gen, reference, validate, WeightMatrix, INF};
-use ppa_machine::{render, Dim, Direction, ExecMode, FaultMap, Op, Plane, StepReport};
+use ppa_machine::{render, Dim, Direction, FaultMap, Op, Plane, StepReport};
 use ppa_mcp::mcp::{fit_word_bits, minimum_cost_path};
 use ppa_mcp::variants::{minimum_cost_path_variant, BusModel, MinModel, VariantConfig};
 use ppa_mcp::{solve_with_recovery, RecoveryPolicy};
@@ -282,45 +282,35 @@ pub fn t5_validation() -> Table {
     t
 }
 
-/// T6 — simulator throughput: wall-clock per simulated step, for array
-/// size and host-thread sweeps.
+/// T6 — simulator throughput: wall-clock per simulated step across
+/// array sizes.
 pub fn t6_engine() -> Table {
     let mut t = Table::new(
         "T6",
         "simulator throughput (host wall-clock; steps are simulated SIMD instructions)",
         vec![
             "n".into(),
-            "threads".into(),
             "steps".into(),
             "wall ms".into(),
             "PE-ops/s (millions)".into(),
         ],
     );
     for &n in &[32usize, 64, 128] {
-        for &threads in &[1usize, 2, 4] {
-            let w = gen::random_connected(n, 0.2, 25, 99);
-            let mode = if threads == 1 {
-                ExecMode::Sequential
-            } else {
-                ExecMode::threaded(threads)
-            };
-            let mut ppa = Ppa::square_with_mode(n, mode).with_word_bits(16.max(fit_word_bits(&w)));
-            let start = Instant::now();
-            let out = minimum_cost_path(&mut ppa, &w, 0).unwrap();
-            let wall = start.elapsed();
-            let steps = out.stats.total.total();
-            let pe_ops = steps as f64 * (n * n) as f64;
-            t.row(vec![
-                n.to_string(),
-                threads.to_string(),
-                steps.to_string(),
-                format!("{:.2}", wall.as_secs_f64() * 1e3),
-                format!("{:.1}", pe_ops / wall.as_secs_f64() / 1e6),
-            ]);
-        }
+        let w = gen::random_connected(n, 0.2, 25, 99);
+        let mut ppa = Ppa::square(n).with_word_bits(16.max(fit_word_bits(&w)));
+        let start = Instant::now();
+        let out = minimum_cost_path(&mut ppa, &w, 0).unwrap();
+        let wall = start.elapsed();
+        let steps = out.stats.total.total();
+        let pe_ops = steps as f64 * (n * n) as f64;
+        t.row(vec![
+            n.to_string(),
+            steps.to_string(),
+            format!("{:.2}", wall.as_secs_f64() * 1e3),
+            format!("{:.1}", pe_ops / wall.as_secs_f64() / 1e6),
+        ]);
     }
-    t.note("simulated step counts are identical across thread counts by construction;");
-    t.note("wall-clock scaling depends on host cores (documented in EXPERIMENTS.md).");
+    t.note("scalar reference backend, one host thread (see EXPERIMENTS.md).");
     t
 }
 
@@ -348,8 +338,7 @@ pub fn backend_table() -> Table {
 /// Returns the wall-clock samples (nanoseconds) and the last run's
 /// execution statistics.
 ///
-/// This is the bit-identity gate of `report backend` / `report scale`,
-/// factored out so the bench-gate mutation drill can prove it trips: a
+/// This is the bit-identity gate of `report backend`, factored out so the bench-gate mutation drill can prove it trips: a
 /// one-bit corruption of the packed vote kernel must make this helper
 /// panic, which makes `report bench --check` exit nonzero.
 pub fn measure_identical<E: ppa_machine::Executor>(
@@ -386,7 +375,7 @@ pub fn measure_identical<E: ppa_machine::Executor>(
 /// entry: deterministic step count, plan/arena counters, and median/MAD
 /// wall-clock over the five repetitions.
 pub fn backend_run() -> BenchRun {
-    use ppa_machine::{PackedBackend, W256};
+    use ppa_machine::PackedBackend;
     let mut entries: Vec<BaselineEntry> = Vec::new();
     let mut t = Table::new(
         "BK",
@@ -431,15 +420,6 @@ pub fn backend_run() -> BenchRun {
         );
         let packed_wall = packed_samples.iter().min().copied().unwrap() as f64 / 1e9;
 
-        let (p256_samples, p256_stats) = measure_identical(
-            &|| Ppa::<PackedBackend<W256>>::packed_wide(n).with_word_bits(h),
-            &w,
-            0,
-            &scalar_out,
-            &format!("n = {n}, packed256"),
-        );
-        let p256_wall = p256_samples.iter().min().copied().unwrap() as f64 / 1e9;
-
         entries.push(BaselineEntry {
             cell: format!("n={n}/scalar"),
             steps: scalar_out.stats.total.total(),
@@ -455,19 +435,6 @@ pub fn backend_run() -> BenchRun {
                 ("plan_misses".to_owned(), packed_stats.plan_misses),
                 ("arena_fresh".to_owned(), packed_stats.arena_fresh),
                 ("arena_reused".to_owned(), packed_stats.arena_reused),
-            ]
-            .into_iter()
-            .collect(),
-        });
-        entries.push(BaselineEntry {
-            cell: format!("n={n}/packed256"),
-            steps: scalar_out.stats.total.total(),
-            wall: WallStats::from_samples(&p256_samples),
-            counters: [
-                ("plan_hits".to_owned(), p256_stats.plan_hits),
-                ("plan_misses".to_owned(), p256_stats.plan_misses),
-                ("arena_fresh".to_owned(), p256_stats.arena_fresh),
-                ("arena_reused".to_owned(), p256_stats.arena_reused),
             ]
             .into_iter()
             .collect(),
@@ -493,229 +460,15 @@ pub fn backend_run() -> BenchRun {
             packed_stats.arena_fresh.to_string(),
             packed_stats.arena_reused.to_string(),
         ]);
-        t.row(vec![
-            n.to_string(),
-            "packed256".into(),
-            scalar_out.stats.total.total().to_string(),
-            format!("{:.2}", p256_wall * 1e3),
-            format!("{:.2}x", scalar_wall / p256_wall),
-            format!("{:.1}%", p256_stats.plan_hit_rate() * 100.0),
-            p256_stats.arena_fresh.to_string(),
-            p256_stats.arena_reused.to_string(),
-        ]);
     }
-    t.note("width_bit_identical: true");
+    t.note("packed_bit_identical: true");
     t.note("outputs and per-class step reports are asserted identical before timing is");
-    t.note("reported; the packed backend executes mask logic 64 PEs per u64 word");
-    t.note("(packed256: 256 PEs per 4-limb SWAR word), broadcasts without bus plans and");
-    t.note("reuses cached wired-OR plans keyed by (switch-pattern fingerprint, direction,");
-    t.note("word width). At these array sizes a row fits one word at either width, so");
-    t.note("packed256 buys no wall-clock win here — it pays 4x the limb work per word");
-    t.note("(see EXPERIMENTS.md).");
+    t.note("reported; the packed backend executes mask logic 64 PEs per u64 word,");
+    t.note("broadcasts without bus plans and reuses cached wired-OR plans keyed by");
+    t.note("(switch-pattern fingerprint, direction) (see EXPERIMENTS.md).");
     BenchRun {
         table: t,
         baseline: Baseline::new("backend", entries),
-    }
-}
-
-/// SC — thread-scaling grid: the threaded backend across an n ×
-/// thread-count grid, with the packed backend as the single-core
-/// baseline. Before any timing is reported, every (n, threads) cell is
-/// asserted bit-identical to the scalar reference — outputs, PTN/SOW,
-/// and per-class step reports — and the backend's `ppa-obs` metrics
-/// counters are reconciled exactly against its execution statistics.
-pub fn scale_table() -> Table {
-    scale_run().table
-}
-
-/// SC — thread-scaling grid with its measured [`Baseline`]: every
-/// (n, threads) cell records the deterministic step count, the
-/// plan-cache counters, and median/MAD wall-clock over five repetitions
-/// (see [`scale_table`] for the full grid semantics).
-pub fn scale_run() -> BenchRun {
-    use ppa_machine::{PackedBackend, ThreadedBackend, W256};
-    use ppa_mcp::McpSession;
-    let mut entries: Vec<BaselineEntry> = Vec::new();
-    let mut t = Table::new(
-        "SC",
-        "threaded-backend scaling, single-destination MCP (T6 workload: random connected, density 0.2, h >= 16)",
-        vec![
-            "n".into(),
-            "threads".into(),
-            "steps".into(),
-            "wall ms (best of 5)".into(),
-            "speedup vs packed".into(),
-            "plan hit rate".into(),
-        ],
-    );
-    let mut all_identical = true;
-    for &n in &[16usize, 32, 64] {
-        let w = gen::random_connected(n, 0.2, 25, 99);
-        let h = 16.max(fit_word_bits(&w)).clamp(2, 62);
-
-        let mut scalar = Ppa::square(n).with_word_bits(h);
-        let want = minimum_cost_path(&mut scalar, &w, 0).unwrap();
-
-        let mut packed_samples: Vec<u64> = Vec::new();
-        let mut packed_stats = ppa_machine::ExecStats::default();
-        for _ in 0..5 {
-            let mut ppa = Ppa::<PackedBackend>::packed(n).with_word_bits(h);
-            let start = Instant::now();
-            let out = minimum_cost_path(&mut ppa, &w, 0).unwrap();
-            packed_samples.push(start.elapsed().as_nanos() as u64);
-            packed_stats = ppa.exec_stats();
-            assert_eq!(out.sow, want.sow, "n = {n}: packed SOW diverged");
-        }
-        let packed_wall = packed_samples.iter().min().copied().unwrap() as f64 / 1e9;
-        entries.push(BaselineEntry {
-            cell: format!("n={n}/packed"),
-            steps: want.stats.total.total(),
-            wall: WallStats::from_samples(&packed_samples),
-            counters: [
-                ("plan_hits".to_owned(), packed_stats.plan_hits),
-                ("plan_misses".to_owned(), packed_stats.plan_misses),
-            ]
-            .into_iter()
-            .collect(),
-        });
-        t.row(vec![
-            n.to_string(),
-            "packed".into(),
-            want.stats.total.total().to_string(),
-            format!("{:.2}", packed_wall * 1e3),
-            "1.00x".into(),
-            "-".into(),
-        ]);
-
-        for threads in [1usize, 2, 4, 8] {
-            let mut samples: Vec<u64> = Vec::new();
-            let mut stats = ppa_machine::ExecStats::default();
-            for _ in 0..5 {
-                let mut ppa = Ppa::<ThreadedBackend>::threaded(n, threads).with_word_bits(h);
-                let start = Instant::now();
-                let out = minimum_cost_path(&mut ppa, &w, 0).unwrap();
-                samples.push(start.elapsed().as_nanos() as u64);
-                stats = ppa.exec_stats();
-                all_identical &= out.sow == want.sow
-                    && out.ptn == want.ptn
-                    && out.stats.total == want.stats.total;
-                assert_eq!(out.sow, want.sow, "n = {n} x {threads}: SOW diverged");
-                assert_eq!(out.ptn, want.ptn, "n = {n} x {threads}: PTN diverged");
-                assert_eq!(
-                    out.stats.total, want.stats.total,
-                    "n = {n} x {threads}: step reports diverged"
-                );
-            }
-            // Reconcile the metrics the session publishes to ppa-obs
-            // against the backend's own execution statistics.
-            let mut session = McpSession::new_threaded(&w, threads).unwrap();
-            session.ppa_mut().enable_metrics();
-            let before = session.exec_stats();
-            session.solve(0).unwrap();
-            let delta = session.exec_stats().since(&before);
-            let m = session.ppa_mut().take_metrics();
-            assert_eq!(
-                m.counter("backend.plan_hits") + m.counter("backend.plan_misses"),
-                delta.plan_hits + delta.plan_misses,
-                "n = {n} x {threads}: ppa-obs counters diverged from exec stats"
-            );
-            assert_eq!(
-                m.counter("backend.arena_fresh"),
-                delta.arena_fresh,
-                "n = {n} x {threads}: arena counters diverged from exec stats"
-            );
-            let wall = samples.iter().min().copied().unwrap() as f64 / 1e9;
-            entries.push(BaselineEntry {
-                cell: format!("n={n}/threads={threads}"),
-                steps: want.stats.total.total(),
-                wall: WallStats::from_samples(&samples),
-                counters: [
-                    ("plan_hits".to_owned(), stats.plan_hits),
-                    ("plan_misses".to_owned(), stats.plan_misses),
-                ]
-                .into_iter()
-                .collect(),
-            });
-            t.row(vec![
-                n.to_string(),
-                threads.to_string(),
-                want.stats.total.total().to_string(),
-                format!("{:.2}", wall * 1e3),
-                format!("{:.2}x", packed_wall / wall),
-                format!("{:.1}%", stats.plan_hit_rate() * 100.0),
-            ]);
-        }
-
-        // Width axis: the same grid on 256-bit SWAR words, gated by the
-        // same bit-identity assertions against the scalar reference.
-        let (p256_samples, p256_stats) = measure_identical(
-            &|| Ppa::<PackedBackend<W256>>::packed_wide(n).with_word_bits(h),
-            &w,
-            0,
-            &want,
-            &format!("n = {n}, packed256"),
-        );
-        let p256_wall = p256_samples.iter().min().copied().unwrap() as f64 / 1e9;
-        entries.push(BaselineEntry {
-            cell: format!("n={n}/packed256"),
-            steps: want.stats.total.total(),
-            wall: WallStats::from_samples(&p256_samples),
-            counters: [
-                ("plan_hits".to_owned(), p256_stats.plan_hits),
-                ("plan_misses".to_owned(), p256_stats.plan_misses),
-            ]
-            .into_iter()
-            .collect(),
-        });
-        t.row(vec![
-            n.to_string(),
-            "packed256".into(),
-            want.stats.total.total().to_string(),
-            format!("{:.2}", p256_wall * 1e3),
-            format!("{:.2}x", packed_wall / p256_wall),
-            format!("{:.1}%", p256_stats.plan_hit_rate() * 100.0),
-        ]);
-        for threads in [1usize, 4, 8] {
-            let (samples, stats) = measure_identical(
-                &|| Ppa::<ThreadedBackend<W256>>::threaded_wide(n, threads).with_word_bits(h),
-                &w,
-                0,
-                &want,
-                &format!("n = {n}, threaded256 x{threads}"),
-            );
-            let wall = samples.iter().min().copied().unwrap() as f64 / 1e9;
-            entries.push(BaselineEntry {
-                cell: format!("n={n}/threads256={threads}"),
-                steps: want.stats.total.total(),
-                wall: WallStats::from_samples(&samples),
-                counters: [
-                    ("plan_hits".to_owned(), stats.plan_hits),
-                    ("plan_misses".to_owned(), stats.plan_misses),
-                ]
-                .into_iter()
-                .collect(),
-            });
-            t.row(vec![
-                n.to_string(),
-                format!("w256 x{threads}"),
-                want.stats.total.total().to_string(),
-                format!("{:.2}", wall * 1e3),
-                format!("{:.2}x", packed_wall / wall),
-                format!("{:.1}%", stats.plan_hit_rate() * 100.0),
-            ]);
-        }
-    }
-    t.note(format!("threaded_bit_identical: {all_identical}"));
-    t.note("width_bit_identical: true");
-    t.note("every cell — both word widths, every thread count — is asserted bit-identical");
-    t.note("to the scalar reference (SOW, PTN, per-class step report) before its");
-    t.note("wall-clock is reported, and the");
-    t.note("backend.* ppa-obs counters are reconciled exactly against the exec stats;");
-    t.note("speedup over packed requires multiple host cores — on a single-core host the");
-    t.note("rendezvous overhead makes threaded <= packed at every width (see EXPERIMENTS.md).");
-    BenchRun {
-        table: t,
-        baseline: Baseline::new("scale", entries),
     }
 }
 
@@ -758,7 +511,6 @@ pub fn batch_run() -> BenchRun {
         ],
     );
     let n = 64usize;
-    let threads = 2usize;
     let w = gen::random_connected(n, 0.2, 25, 99);
     let mut all_identical = true;
     let mut prev_misses_per_dest = f64::INFINITY;
@@ -844,64 +596,6 @@ pub fn batch_run() -> BenchRun {
             format!("{fresh_per_dest:.1}"),
             format!("{:.1}%", stats.plan_hit_rate() * 100.0),
         ]);
-
-        // The threaded backend pays a fixed per-step rendezvous, so a
-        // wider machine amortizes it across lanes: this is where
-        // wall/dest visibly falls with the lane count even on one core.
-        let mut thr_samples: Vec<u64> = Vec::new();
-        let mut thr_stats = ppa_machine::ExecStats::default();
-        let mut thr_wave = Vec::new();
-        for _ in 0..5 {
-            let mut batch = BatchSession::new_threaded(&graphs, threads).unwrap();
-            let start = Instant::now();
-            let solved = batch.solve(&dests).unwrap();
-            thr_samples.push(start.elapsed().as_nanos() as u64);
-            thr_stats = batch.exec_stats();
-            thr_wave = solved
-                .into_iter()
-                .map(|r| r.expect("every lane of the wavefront must converge"))
-                .collect();
-        }
-        for (l, &d) in dests.iter().enumerate() {
-            let (got, want) = (&thr_wave[l], &wave[l]);
-            all_identical &=
-                got.sow == want.sow && got.ptn == want.ptn && got.stats.total == want.stats.total;
-            assert_eq!(
-                got.sow, want.sow,
-                "lanes = {lanes}, dest {d}: threaded SOW diverged from packed"
-            );
-            assert_eq!(
-                got.ptn, want.ptn,
-                "lanes = {lanes}, dest {d}: threaded PTN diverged from packed"
-            );
-            assert_eq!(
-                got.stats.total, want.stats.total,
-                "lanes = {lanes}, dest {d}: threaded step report diverged from packed"
-            );
-        }
-        let thr_wall = thr_samples.iter().min().copied().unwrap() as f64 / 1e9;
-        entries.push(BaselineEntry {
-            cell: format!("n={n}/lanes={lanes}/threads={threads}"),
-            steps,
-            wall: WallStats::from_samples(&thr_samples),
-            counters: [
-                ("plan_hits".to_owned(), thr_stats.plan_hits),
-                ("plan_misses".to_owned(), thr_stats.plan_misses),
-            ]
-            .into_iter()
-            .collect(),
-        });
-        t.row(vec![
-            n.to_string(),
-            lanes.to_string(),
-            format!("threaded x{threads}"),
-            steps.to_string(),
-            format!("{:.2}", thr_wall * 1e3),
-            format!("{:.2}", thr_wall * 1e3 / lanes as f64),
-            format!("{:.1}", thr_stats.plan_misses as f64 / lanes as f64),
-            "-".into(),
-            format!("{:.1}%", thr_stats.plan_hit_rate() * 100.0),
-        ]);
     }
     t.note(format!("batched_bit_identical: {all_identical}"));
     t.note("every lane is asserted bit-identical to a solo run pinned to the batch's");
@@ -909,9 +603,7 @@ pub fn batch_run() -> BenchRun {
     t.note("plan misses/dest and arena fresh/dest are asserted monotonically non-");
     t.note("increasing in the lane count. Amortization comes from sharing one micro-op");
     t.note("stream across lanes, not host parallelism: on the packed backend each step's");
-    t.note("host cost grows with machine width, so wall/dest stays roughly flat (single");
-    t.note("core); the threaded rows amortize the fixed per-step rendezvous, so their");
-    t.note("wall/dest falls with the lane count even on a single-core host.");
+    t.note("host cost grows with machine width, so wall/dest stays roughly flat.");
     BenchRun {
         table: t,
         baseline: Baseline::new("batch", entries),
@@ -1109,7 +801,7 @@ pub fn t8_faults() -> Table {
     );
     for (name, dir, intended) in &patterns {
         let src = Plane::from_fn(dim, |c| (c.row * n + c.col) as i64);
-        let healthy = bus::broadcast(ExecMode::Sequential, dim, &src, *dir, intended).unwrap();
+        let healthy = bus::broadcast(dim, &src, *dir, intended).unwrap();
         let mut distorting = 0u32;
         let mut wrong = 0u32;
         let mut undriven = 0u32;
@@ -1128,7 +820,7 @@ pub fn t8_faults() -> Table {
                         missed += 1;
                     }
                     let effective = fm.apply(intended);
-                    match bus::broadcast(ExecMode::Sequential, dim, &src, *dir, &effective) {
+                    match bus::broadcast(dim, &src, *dir, &effective) {
                         Err(_) => undriven += 1,
                         Ok(out) => {
                             if out != healthy {
@@ -1211,8 +903,6 @@ pub struct ProfileRun {
     /// Step totals of the same run — `metrics` must reconcile with this
     /// exactly (asserted by the integration tests).
     pub report: StepReport,
-    /// Host wall-clock engine profile of the run.
-    pub engine: Option<ppa_obs::EngineProfile>,
     /// Micro-op-class wall-clock attribution of the run; rendered as
     /// `profile.folded.txt` (inferno folded-stack lines) by `report`.
     pub micro: ppa_obs::MicroProfile,
@@ -1221,7 +911,7 @@ pub struct ProfileRun {
 /// The `profile` experiment (supersedes the text-only T9 attribution):
 /// one MCP run with every observer attached — hierarchical trace spans
 /// (`mcp > iteration[i] > <statement> > bit[j]`), the metrics registry,
-/// and engine wall-clock profiling.
+/// and micro-op wall-clock attribution.
 pub fn profile_run() -> ProfileRun {
     let n = 10usize;
     let h = 16u32;
@@ -1231,9 +921,7 @@ pub fn profile_run() -> ProfileRun {
     ppa.install_sink(chrome.clone());
     ppa.enable_metrics();
     ppa.enable_micro_profile();
-    ppa_machine::engine::enable_profiling();
     let out = minimum_cost_path(&mut ppa, &w, 0).expect("profile workload solves");
-    let engine = ppa_machine::engine::take_profile();
     let _ = ppa.take_sink();
     // Take the micro profile *before* the metrics snapshot so its
     // exec.<backend>.<class>.{ns,count} counters fold into the registry.
@@ -1295,15 +983,6 @@ pub fn profile_run() -> ProfileRun {
             format!("count {} (= steps.{class})", wall.count),
         ]);
     }
-    if let Some(p) = &engine {
-        t.note(format!(
-            "engine wall-clock: {} build + {} reduce calls, {:.2} ms sequential, {:.2} ms threaded",
-            p.build_calls,
-            p.reduce_calls,
-            p.sequential_nanos as f64 / 1e6,
-            p.threaded_nanos as f64 / 1e6,
-        ));
-    }
     t.note(format!(
         "micro-op attribution ({} backend): {} timed instructions, {:.2} ms attributed; \
          folded-stack artifact profile.folded.txt (inferno format: `backend;class nanos`)",
@@ -1320,7 +999,6 @@ pub fn profile_run() -> ProfileRun {
         chrome_trace,
         metrics,
         report,
-        engine,
         micro,
     }
 }
@@ -3262,7 +2940,6 @@ pub fn all_experiments() -> Vec<Experiment> {
         ("a1", a1_bus_ablation),
         ("a2", a2_min_ablation),
         ("backend", backend_table),
-        ("scale", scale_table),
         ("batch", batch_table),
         // The report binary intercepts this entry to also write the trace
         // and metrics artifacts from the same run (see `profile_run`).
@@ -3353,22 +3030,19 @@ mod tests {
     #[test]
     fn backend_rows_agree_and_cache_is_warm() {
         let t = backend_table();
-        // Three rows per n: scalar, packed (W64), packed256.
-        assert_eq!(t.rows.len(), 9);
-        for block in t.rows.chunks(3) {
-            assert_eq!(block[1][1], "packed", "{block:?}");
-            assert_eq!(block[2][1], "packed256", "{block:?}");
-            for row in &block[1..] {
-                // Same n, same step count on every backend row.
-                assert_eq!(row[0], block[0][0]);
-                assert_eq!(row[2], block[0][2], "{block:?}");
-            }
+        // Two rows per n: scalar, packed.
+        assert_eq!(t.rows.len(), 6);
+        for block in t.rows.chunks(2) {
+            let (scalar, packed) = (&block[0], &block[1]);
+            assert_eq!(packed[1], "packed", "{block:?}");
+            // Same n, same step count on both backend rows.
+            assert_eq!(packed[0], scalar[0]);
+            assert_eq!(packed[2], scalar[2], "{block:?}");
         }
-        // The n = 64 rows keep the wired-OR plan cache hot at both widths.
-        for row in &t.rows[t.rows.len() - 2..] {
-            let rate: f64 = row[5].trim_end_matches('%').parse().unwrap();
-            assert!(rate > 90.0, "plan hit rate {rate}% on {row:?}");
-        }
+        // The n = 64 packed row keeps the wired-OR plan cache hot.
+        let row = &t.rows[t.rows.len() - 1];
+        let rate: f64 = row[5].trim_end_matches('%').parse().unwrap();
+        assert!(rate > 90.0, "plan hit rate {rate}% on {row:?}");
     }
 
     #[test]

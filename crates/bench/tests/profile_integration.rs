@@ -50,13 +50,6 @@ fn profile_artifacts_reconcile_and_validate() {
     let back = Metrics::from_json(&Json::parse(&text).unwrap()).unwrap();
     assert_eq!(back, run.metrics);
 
-    // The wall-clock engine hooks observed the same run.
-    let engine = run
-        .engine
-        .expect("engine profiling enabled during profile_run");
-    assert!(engine.build_calls > 0);
-    assert!(engine.reduce_calls > 0);
-
     // Micro-op attribution observed the same run: per-class counts equal
     // the controller report, and the exec.* counters folded into the
     // metrics snapshot agree.
@@ -118,34 +111,6 @@ fn micro_profile_reconciles_on_packed_backend() {
             metrics.counter(&format!("exec.packed.{}.count", op.label())),
             report.count(op),
             "packed exec counter {}",
-            op.label()
-        );
-    }
-    assert_eq!(micro.total().count, report.total());
-}
-
-#[test]
-fn micro_profile_reconciles_on_threaded_backend() {
-    let w = ppa_graph::gen::ring(6);
-    let mut ppa = ppa_ppc::Ppa::threaded(6, 2).with_word_bits(10);
-    ppa.enable_metrics();
-    ppa.enable_micro_profile();
-    let out = ppa_mcp::mcp::minimum_cost_path(&mut ppa, &w, 0).expect("threaded MCP solves");
-    let micro = ppa.take_micro_profile();
-    let metrics = ppa.take_metrics();
-    assert_eq!(micro.backend(), "threaded");
-    let report = out.stats.total;
-    for op in Op::ALL {
-        assert_eq!(
-            micro.class(op.label()).map_or(0, |w| w.count),
-            report.count(op),
-            "threaded micro class {}",
-            op.label()
-        );
-        assert_eq!(
-            metrics.counter(&format!("exec.threaded.{}.count", op.label())),
-            report.count(op),
-            "threaded exec counter {}",
             op.label()
         );
     }

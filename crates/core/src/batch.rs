@@ -2,8 +2,7 @@
 //! stream.
 //!
 //! The bit-plane representation is wider than one problem needs: one
-//! machine word of the packed backend (64 or 256 PEs, depending on the
-//! [`Word`] parameter) holds PEs of *one* solve. A
+//! `u64` word of the packed backend holds 64 PEs of *one* solve. A
 //! [`BatchSession`] lifts that assumption by packing `L` independent
 //! `n x n` problems side by side into one `n x (n * L)` machine (lane
 //! `l` owns columns `l*n .. (l+1)*n`, see
@@ -59,7 +58,7 @@ use crate::Result;
 use ppa_graph::{Weight, WeightMatrix, INF};
 use ppa_machine::{
     CancelToken, Direction, ExecStats, Executor, LaneLayout, Machine, MachineError, PackedBackend,
-    ScalarBackend, StepReport, ThreadedBackend, Word,
+    ScalarBackend, StepReport,
 };
 use ppa_ppc::{Parallel, Ppa, PpcError};
 
@@ -186,50 +185,6 @@ impl BatchSession<PackedBackend> {
     }
 }
 
-impl BatchSession<ThreadedBackend> {
-    /// Builds a threaded-backend batch sized and word-fitted for
-    /// `graphs`, sharding each bit-plane micro-op over a `threads`-wide
-    /// pool.
-    ///
-    /// # Errors
-    /// [`McpError::BatchShape`] for an empty, oversized, or mixed-size
-    /// batch.
-    pub fn new_threaded(graphs: &[WeightMatrix], threads: usize) -> Result<Self> {
-        let n = check_graphs(graphs)?;
-        let ppa = Ppa::from_machine(Machine::new_threaded(n, n * graphs.len(), threads))
-            .with_word_bits(batch_word_bits(graphs));
-        Self::from_ppa(ppa, graphs)
-    }
-}
-
-impl<W: Word> BatchSession<PackedBackend<W>> {
-    /// [`BatchSession::new_packed`] with an explicit machine word `W`.
-    ///
-    /// # Errors
-    /// [`McpError::BatchShape`] for an empty, oversized, or mixed-size
-    /// batch.
-    pub fn new_packed_wide(graphs: &[WeightMatrix]) -> Result<Self> {
-        let n = check_graphs(graphs)?;
-        let ppa = Ppa::from_machine(Machine::new_packed_wide(n, n * graphs.len()))
-            .with_word_bits(batch_word_bits(graphs));
-        Self::from_ppa(ppa, graphs)
-    }
-}
-
-impl<W: Word> BatchSession<ThreadedBackend<W>> {
-    /// [`BatchSession::new_threaded`] with an explicit machine word `W`.
-    ///
-    /// # Errors
-    /// [`McpError::BatchShape`] for an empty, oversized, or mixed-size
-    /// batch.
-    pub fn new_threaded_wide(graphs: &[WeightMatrix], threads: usize) -> Result<Self> {
-        let n = check_graphs(graphs)?;
-        let ppa = Ppa::from_machine(Machine::new_threaded_wide(n, n * graphs.len(), threads))
-            .with_word_bits(batch_word_bits(graphs));
-        Self::from_ppa(ppa, graphs)
-    }
-}
-
 impl<E: Executor> BatchSession<E> {
     /// Wraps an existing runtime, preparing the shared planes for
     /// `graphs`. The machine must be `n x (n * lanes)` and at least as
@@ -242,7 +197,7 @@ impl<E: Executor> BatchSession<E> {
     ///
     /// # Errors
     /// [`McpError::BatchShape`], [`McpError::SizeMismatch`], or
-    /// [`McpError::WordWidthTooSmall`].
+    /// [`McpError::WordBitsTooSmall`].
     pub fn from_ppa(mut ppa: Ppa<E>, graphs: &[WeightMatrix]) -> Result<Self> {
         let n = check_graphs(graphs)?;
         let lanes = graphs.len();
@@ -261,7 +216,7 @@ impl<E: Executor> BatchSession<E> {
         }
         let required = graphs.iter().map(mcp::fit_word_bits).max().unwrap_or(2);
         if ppa.word_bits() < required {
-            return Err(McpError::WordWidthTooSmall {
+            return Err(McpError::WordBitsTooSmall {
                 required,
                 actual: ppa.word_bits(),
             });

@@ -22,7 +22,7 @@ pub enum McpError {
     /// The machine's `h`-bit word cannot hold every possible path cost of
     /// this input below `MAXINT`; costs would saturate and masquerade as
     /// "unreachable". Use a wider word (see `fit_word_bits`).
-    WordWidthTooSmall {
+    WordBitsTooSmall {
         /// Minimum width that is safe for this input.
         required: u32,
         /// Width the machine actually has.
@@ -92,7 +92,7 @@ impl fmt::Display for McpError {
                 f,
                 "graph has {n} vertices but the machine is {rows}x{cols}; an {n}x{n} array is required"
             ),
-            McpError::WordWidthTooSmall { required, actual } => write!(
+            McpError::WordBitsTooSmall { required, actual } => write!(
                 f,
                 "machine word width h={actual} is too small for this input; need h>={required}"
             ),
@@ -216,7 +216,7 @@ mod tests {
             cols: 4,
         };
         assert!(e.to_string().contains("5 vertices"));
-        let e = McpError::WordWidthTooSmall {
+        let e = McpError::WordBitsTooSmall {
             required: 12,
             actual: 8,
         };

@@ -31,7 +31,7 @@ use ppa_ppc::{Parallel, Ppa};
 /// not needed: an image with no features at all yields `None`).
 ///
 /// # Errors
-/// [`McpError::WordWidthTooSmall`] if the machine word cannot hold the
+/// [`McpError::WordBitsTooSmall`] if the machine word cannot hold the
 /// largest possible distance (`rows + cols`).
 pub fn distance_transform_l1(
     ppa: &mut Ppa,
@@ -42,7 +42,7 @@ pub fn distance_transform_l1(
     let maxint = ppa.maxint();
     let worst = (dim.rows + dim.cols) as i64;
     if worst >= maxint {
-        return Err(McpError::WordWidthTooSmall {
+        return Err(McpError::WordBitsTooSmall {
             required: (64 - (worst as u64 + 1).leading_zeros()).max(2),
             actual: ppa.word_bits(),
         });
@@ -214,7 +214,7 @@ mod tests {
         let plane = Parallel::from_fn(ppa.dim(), |c| c.row == 0);
         assert!(matches!(
             distance_transform_l1(&mut ppa, &plane),
-            Err(McpError::WordWidthTooSmall { .. })
+            Err(McpError::WordBitsTooSmall { .. })
         ));
     }
 }

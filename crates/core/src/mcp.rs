@@ -70,7 +70,7 @@ pub fn fit_word_bits(w: &WeightMatrix) -> u32 {
 /// with the "infinite" sentinel.
 ///
 /// # Errors
-/// [`McpError::SizeMismatch`], [`McpError::WordWidthTooSmall`], or any
+/// [`McpError::SizeMismatch`], [`McpError::WordBitsTooSmall`], or any
 /// PPC runtime failure.
 pub fn minimum_cost_path<E: Executor>(
     ppa: &mut Ppa<E>,
@@ -196,7 +196,7 @@ impl Prepared {
         }
         let required = fit_word_bits(w);
         if ppa.word_bits() < required {
-            return Err(McpError::WordWidthTooSmall {
+            return Err(McpError::WordBitsTooSmall {
                 required,
                 actual: ppa.word_bits(),
             });
@@ -545,7 +545,7 @@ fn mcp_run<E: Executor>(
     }
     let required = fit_word_bits(w);
     if ppa.word_bits() < required {
-        return Err(McpError::WordWidthTooSmall {
+        return Err(McpError::WordBitsTooSmall {
             required,
             actual: ppa.word_bits(),
         });
@@ -685,7 +685,7 @@ mod tests {
         let mut ppa = Ppa::square(4).with_word_bits(8); // 300 > 255
         assert!(matches!(
             minimum_cost_path(&mut ppa, &w, 3),
-            Err(McpError::WordWidthTooSmall { .. })
+            Err(McpError::WordBitsTooSmall { .. })
         ));
     }
 
@@ -839,7 +839,7 @@ mod tests {
         let mut ppa = Ppa::square(2).with_word_bits(h);
         assert!(matches!(
             minimum_cost_path(&mut ppa, &collides, 1),
-            Err(McpError::WordWidthTooSmall { required, actual })
+            Err(McpError::WordBitsTooSmall { required, actual })
                 if required == h + 1 && actual == h
         ));
     }

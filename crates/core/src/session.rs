@@ -22,7 +22,7 @@ use crate::apsp::AllPairs;
 use crate::mcp::{self, McpOutput, Prepared};
 use crate::Result;
 use ppa_graph::WeightMatrix;
-use ppa_machine::{ExecStats, Executor, PackedBackend, ScalarBackend, ThreadedBackend, Word};
+use ppa_machine::{ExecStats, Executor, PackedBackend, ScalarBackend};
 use ppa_ppc::Ppa;
 
 /// A minimum-cost-path solver session: a runtime plus the prepared
@@ -59,47 +59,6 @@ impl McpSession<PackedBackend> {
     }
 }
 
-impl McpSession<ThreadedBackend> {
-    /// Builds a threaded-backend session sized and word-fitted for `w`,
-    /// sharding each bit-plane micro-op over a `threads`-wide pool.
-    ///
-    /// # Errors
-    /// Propagates the solver's size/word-width contract checks (which
-    /// cannot fire for the auto-fitted machine built here).
-    pub fn new_threaded(w: &WeightMatrix, threads: usize) -> Result<Self> {
-        let ppa = Ppa::<ThreadedBackend>::threaded(w.n(), threads)
-            .with_word_bits(mcp::fit_word_bits(w).clamp(2, 62));
-        Self::from_ppa(ppa, w)
-    }
-}
-
-impl<W: Word> McpSession<PackedBackend<W>> {
-    /// [`McpSession::new_packed`] with an explicit machine word `W` (e.g.
-    /// `McpSession::<PackedBackend<W256>>::new_packed_wide`).
-    ///
-    /// # Errors
-    /// Propagates the solver's size/word-width contract checks (which
-    /// cannot fire for the auto-fitted machine built here).
-    pub fn new_packed_wide(w: &WeightMatrix) -> Result<Self> {
-        let ppa = Ppa::<PackedBackend<W>>::packed_wide(w.n())
-            .with_word_bits(mcp::fit_word_bits(w).clamp(2, 62));
-        Self::from_ppa(ppa, w)
-    }
-}
-
-impl<W: Word> McpSession<ThreadedBackend<W>> {
-    /// [`McpSession::new_threaded`] with an explicit machine word `W`.
-    ///
-    /// # Errors
-    /// Propagates the solver's size/word-width contract checks (which
-    /// cannot fire for the auto-fitted machine built here).
-    pub fn new_threaded_wide(w: &WeightMatrix, threads: usize) -> Result<Self> {
-        let ppa = Ppa::<ThreadedBackend<W>>::threaded_wide(w.n(), threads)
-            .with_word_bits(mcp::fit_word_bits(w).clamp(2, 62));
-        Self::from_ppa(ppa, w)
-    }
-}
-
 impl<E: Executor> McpSession<E> {
     /// Wraps an existing runtime, preparing the shared planes for `w`.
     ///
@@ -109,7 +68,7 @@ impl<E: Executor> McpSession<E> {
     /// # Errors
     /// [`McpError::SizeMismatch`](crate::McpError::SizeMismatch) if the
     /// machine is not `n x n` for the `n`-vertex graph, or
-    /// [`McpError::WordWidthTooSmall`](crate::McpError::WordWidthTooSmall)
+    /// [`McpError::WordBitsTooSmall`](crate::McpError::WordBitsTooSmall)
     /// if real path costs could saturate into `MAXINT`.
     pub fn from_ppa(mut ppa: Ppa<E>, w: &WeightMatrix) -> Result<Self> {
         let prep = Prepared::build(&mut ppa, w)?;

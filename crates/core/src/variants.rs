@@ -88,7 +88,7 @@ pub fn minimum_cost_path_variant(
     }
     let required = fit_word_bits(w);
     if ppa.word_bits() < required {
-        return Err(McpError::WordWidthTooSmall {
+        return Err(McpError::WordBitsTooSmall {
             required,
             actual: ppa.word_bits(),
         });

@@ -103,7 +103,7 @@ pub fn widest_path<E: Executor>(
     let maxint = ppa.maxint();
     let max_cap = w.max_finite_weight().unwrap_or(0);
     if max_cap >= maxint || (n as i64 - 1) >= maxint {
-        return Err(McpError::WordWidthTooSmall {
+        return Err(McpError::WordBitsTooSmall {
             required: (64 - (max_cap.max(n as i64 - 1) as u64 + 1).leading_zeros()).max(2),
             actual: ppa.word_bits(),
         });
@@ -313,7 +313,7 @@ mod tests {
         let mut ppa = Ppa::square(2).with_word_bits(8); // MAXINT = 255
         assert!(matches!(
             widest_path(&mut ppa, &w, 1),
-            Err(McpError::WordWidthTooSmall { .. })
+            Err(McpError::WordBitsTooSmall { .. })
         ));
     }
 }

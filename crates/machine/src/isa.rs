@@ -14,10 +14,25 @@
 //! host-side wall-clock may differ.
 
 use crate::bus;
-use crate::engine::{self, ExecMode};
 use crate::error::MachineError;
 use crate::geometry::{Axis, Dim, Direction};
 use crate::plane::Plane;
+
+/// How the per-PE loops of each simulated instruction run on the host.
+///
+/// The simulator runs them sequentially, and so does every backend; the
+/// type has one variant. It stays because it is part of the [`Executor`]
+/// method signatures that out-of-tree executors implement (every method
+/// takes a `mode`, and [`Machine::with_backend`](crate::Machine::with_backend)
+/// takes one), so those implementations keep compiling unchanged. Host
+/// parallelism belongs over independent problem instances, not inside one
+/// instruction: a row of 64 PEs or fewer fits one machine word.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum ExecMode {
+    /// Single-threaded execution.
+    #[default]
+    Sequential,
+}
 
 /// One controller instruction, as seen by the issue logic.
 ///
@@ -147,8 +162,8 @@ pub trait Executor: std::fmt::Debug + Clone {
     type Mask: Clone + std::fmt::Debug + PartialEq;
 
     /// Short backend name used to key wall-clock attribution
-    /// (`exec.<NAME>.<class>.ns` metrics, folded-stack frames). The three
-    /// built-in backends report `"scalar"`, `"packed"`, `"threaded"`.
+    /// (`exec.<NAME>.<class>.ns` metrics, folded-stack frames). The two
+    /// built-in backends report `"scalar"` and `"packed"`.
     const NAME: &'static str = "custom";
 
     /// Converts a plane into the backend mask representation (uncosted
@@ -166,13 +181,13 @@ pub trait Executor: std::fmt::Debug + Clone {
     fn mask_count(&self, dim: Dim, mask: &Self::Mask) -> usize;
 
     /// Extracts bit `j` of every (non-negative) PE value as a mask.
-    fn bit_plane(&mut self, mode: ExecMode, dim: Dim, src: &Plane<i64>, j: u32) -> Self::Mask;
+    fn bit_plane(&mut self, _mode: ExecMode, dim: Dim, src: &Plane<i64>, j: u32) -> Self::Mask;
 
     /// The bit-serial voting step: `keep_low` selects the Min rule
     /// `enable && !bit`; otherwise the Max rule `enable && bit`.
     fn vote(
         &mut self,
-        mode: ExecMode,
+        _mode: ExecMode,
         dim: Dim,
         enable: &Self::Mask,
         bit: &Self::Mask,
@@ -184,7 +199,7 @@ pub trait Executor: std::fmt::Debug + Clone {
     /// `enable && (!present || bit)`.
     fn knockout(
         &mut self,
-        mode: ExecMode,
+        _mode: ExecMode,
         dim: Dim,
         enable: &Self::Mask,
         present: &Self::Mask,
@@ -195,7 +210,7 @@ pub trait Executor: std::fmt::Debug + Clone {
     /// Wired-OR of `values` over the clusters induced by the `open` mask.
     fn mask_bus_or(
         &mut self,
-        mode: ExecMode,
+        _mode: ExecMode,
         dim: Dim,
         values: &Self::Mask,
         dir: Direction,
@@ -203,26 +218,22 @@ pub trait Executor: std::fmt::Debug + Clone {
     ) -> Result<Self::Mask, MachineError>;
 
     /// Cluster-head broadcast with the switch pattern given as a plane.
-    ///
-    /// `T: 'static` (here and on the other plane-moving micro-ops) lets a
-    /// backend hand the plane's shared storage to persistent worker
-    /// threads; every plane in the instruction set holds owned values.
     fn broadcast<T: Copy + Send + Sync + 'static>(
         &mut self,
-        mode: ExecMode,
+        _mode: ExecMode,
         dim: Dim,
         src: &Plane<T>,
         dir: Direction,
         open: &Plane<bool>,
     ) -> Result<Plane<T>, MachineError> {
-        bus::broadcast(mode, dim, src, dir, open)
+        bus::broadcast(dim, src, dir, open)
     }
 
     /// Cluster-head broadcast with the switch pattern given as a backend
     /// mask.
     fn broadcast_masked<T: Copy + Send + Sync + 'static>(
         &mut self,
-        mode: ExecMode,
+        _mode: ExecMode,
         dim: Dim,
         src: &Plane<T>,
         dir: Direction,
@@ -232,34 +243,34 @@ pub trait Executor: std::fmt::Debug + Clone {
     /// Wired-OR with both operands as planes.
     fn bus_or(
         &mut self,
-        mode: ExecMode,
+        _mode: ExecMode,
         dim: Dim,
         values: &Plane<bool>,
         dir: Direction,
         open: &Plane<bool>,
     ) -> Result<Plane<bool>, MachineError> {
-        bus::bus_or(mode, dim, values, dir, open)
+        bus::bus_or(dim, values, dir, open)
     }
 
     /// Nearest-neighbour shift with an edge fill policy.
     fn shift<T: Copy + Send + Sync + 'static>(
         &mut self,
-        mode: ExecMode,
+        _mode: ExecMode,
         dim: Dim,
         src: &Plane<T>,
         dir: Direction,
         fill: Fill<T>,
     ) -> Result<Plane<T>, MachineError> {
-        bus::shift_with(mode, dim, src, dir, fill)
+        bus::shift_with(dim, src, dir, fill)
     }
 
     /// Per-PE plane builder for generic ALU micro-ops.
-    fn build<U, F>(&mut self, mode: ExecMode, len: usize, f: F) -> Vec<U>
+    fn build<U, F>(&mut self, _mode: ExecMode, len: usize, f: F) -> Vec<U>
     where
         U: Send,
         F: Fn(usize) -> U + Sync,
     {
-        engine::build(mode, len, f)
+        (0..len).map(f).collect()
     }
 
     /// Backend resource counters (cache hits, arena recycling).
@@ -301,19 +312,21 @@ impl Executor for ScalarBackend {
         mask.count_true()
     }
 
-    fn bit_plane(&mut self, mode: ExecMode, dim: Dim, src: &Plane<i64>, j: u32) -> Plane<bool> {
+    fn bit_plane(&mut self, _mode: ExecMode, dim: Dim, src: &Plane<i64>, j: u32) -> Plane<bool> {
         let s = src.as_slice();
-        let data = engine::build(mode, dim.len(), |i| {
-            let x = s[i];
-            debug_assert!(x >= 0, "bit-serial scan expects non-negative values");
-            (x >> j) & 1 == 1
-        });
+        let data = (0..dim.len())
+            .map(|i| {
+                let x = s[i];
+                debug_assert!(x >= 0, "bit-serial scan expects non-negative values");
+                (x >> j) & 1 == 1
+            })
+            .collect();
         Plane::from_vec(dim, data)
     }
 
     fn vote(
         &mut self,
-        mode: ExecMode,
+        _mode: ExecMode,
         dim: Dim,
         enable: &Plane<bool>,
         bit: &Plane<bool>,
@@ -321,16 +334,16 @@ impl Executor for ScalarBackend {
     ) -> Plane<bool> {
         let (e, b) = (enable.as_slice(), bit.as_slice());
         let data = if keep_low {
-            engine::build(mode, dim.len(), |i| e[i] && !b[i])
+            (0..dim.len()).map(|i| e[i] && !b[i]).collect()
         } else {
-            engine::build(mode, dim.len(), |i| e[i] && b[i])
+            (0..dim.len()).map(|i| e[i] && b[i]).collect()
         };
         Plane::from_vec(dim, data)
     }
 
     fn knockout(
         &mut self,
-        mode: ExecMode,
+        _mode: ExecMode,
         dim: Dim,
         enable: &Plane<bool>,
         present: &Plane<bool>,
@@ -339,33 +352,33 @@ impl Executor for ScalarBackend {
     ) -> Plane<bool> {
         let (e, p, b) = (enable.as_slice(), present.as_slice(), bit.as_slice());
         let data = if keep_low {
-            engine::build(mode, dim.len(), |i| e[i] && !(p[i] && b[i]))
+            (0..dim.len()).map(|i| e[i] && !(p[i] && b[i])).collect()
         } else {
-            engine::build(mode, dim.len(), |i| e[i] && (!p[i] || b[i]))
+            (0..dim.len()).map(|i| e[i] && (!p[i] || b[i])).collect()
         };
         Plane::from_vec(dim, data)
     }
 
     fn mask_bus_or(
         &mut self,
-        mode: ExecMode,
+        _mode: ExecMode,
         dim: Dim,
         values: &Plane<bool>,
         dir: Direction,
         open: &Plane<bool>,
     ) -> Result<Plane<bool>, MachineError> {
-        bus::bus_or(mode, dim, values, dir, open)
+        bus::bus_or(dim, values, dir, open)
     }
 
     fn broadcast_masked<T: Copy + Send + Sync + 'static>(
         &mut self,
-        mode: ExecMode,
+        _mode: ExecMode,
         dim: Dim,
         src: &Plane<T>,
         dir: Direction,
         open: &Plane<bool>,
     ) -> Result<Plane<T>, MachineError> {
-        bus::broadcast(mode, dim, src, dir, open)
+        bus::broadcast(dim, src, dir, open)
     }
 }
 

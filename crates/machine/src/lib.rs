@@ -27,9 +27,10 @@
 //!   (parallel ALU op, shift, broadcast, bus OR, global OR) costs one step;
 //! * [`Machine`] — the assembled machine: geometry + execution engine +
 //!   controller, exposing the primitive instruction set;
-//! * [`engine`] — sequential or multi-threaded execution of the per-PE
-//!   data-parallel loops (threads only affect host wall-clock, never the
-//!   simulated step counts);
+//! * [`isa`] — the micro-op ISA and the [`Executor`] backends that run
+//!   each instruction's per-PE loops on the host: [`ScalarBackend`], the
+//!   semantic reference, and [`PackedBackend`], 64 PEs per `u64` word.
+//!   Backends change only host wall-clock, never values or step counts;
 //! * [`render`] — ASCII visualization of switch settings and bus clusters
 //!   (used to reproduce Figure 1 of the paper).
 //!
@@ -67,7 +68,6 @@
 pub mod budget;
 pub mod bus;
 pub mod controller;
-pub mod engine;
 pub mod error;
 pub mod faults;
 pub mod geometry;
@@ -78,21 +78,16 @@ pub mod packed;
 pub mod plane;
 pub mod render;
 pub mod switch;
-pub mod threaded;
-pub mod word;
 
 pub use budget::CancelToken;
 pub use controller::{Controller, Op, StepReport};
-pub use engine::ExecMode;
 pub use error::MachineError;
 pub use faults::{FaultMap, FaultReport, SwitchFault, TransientFaults};
 pub use geometry::{Axis, Coord, Dim, Direction};
-pub use isa::{ExecStats, Executor, Fill, MicroOp, ScalarBackend};
+pub use isa::{ExecMode, ExecStats, Executor, Fill, MicroOp, ScalarBackend};
 pub use lane::LaneLayout;
 pub use machine::Machine;
 pub use packed::{PackedBackend, PackedMask};
 pub use plane::Plane;
 pub use ppa_obs::OccupancySampling;
 pub use switch::SwitchConfig;
-pub use threaded::{SharedMask, ThreadedBackend};
-pub use word::{Word, WordWidth, W256, W64};

@@ -12,11 +12,10 @@
 use crate::budget::CancelToken;
 use crate::bus;
 use crate::controller::{Controller, Op};
-use crate::engine::ExecMode;
 use crate::error::MachineError;
 use crate::faults::{bist_sweep, FaultMap, FaultReport, SwitchFault, TransientFaults};
 use crate::geometry::{Axis, Dim, Direction};
-use crate::isa::{ExecStats, Executor, Fill, MicroOp, ScalarBackend};
+use crate::isa::{ExecMode, ExecStats, Executor, Fill, MicroOp, ScalarBackend};
 use crate::plane::Plane;
 use ppa_obs::MicroProfile;
 use std::time::Instant;
@@ -26,7 +25,6 @@ use std::time::Instant;
 #[derive(Debug, Clone)]
 pub struct Machine<E: Executor = ScalarBackend> {
     dim: Dim,
-    mode: ExecMode,
     controller: Controller,
     faults: FaultMap,
     transient: Option<TransientFaults>,
@@ -40,7 +38,7 @@ pub struct Machine<E: Executor = ScalarBackend> {
 impl Machine<ScalarBackend> {
     /// Creates a `rows x cols` machine running per-PE loops sequentially.
     pub fn new(rows: usize, cols: usize) -> Self {
-        Machine::with_mode(Dim::new(rows, cols), ExecMode::Sequential)
+        Machine::with_backend(Dim::new(rows, cols), ExecMode::Sequential, ScalarBackend)
     }
 
     /// Creates a square `n x n` machine (the shape used by all the graph
@@ -48,19 +46,14 @@ impl Machine<ScalarBackend> {
     pub fn square(n: usize) -> Self {
         Machine::new(n, n)
     }
-
-    /// Creates a machine with an explicit host execution mode.
-    pub fn with_mode(dim: Dim, mode: ExecMode) -> Self {
-        Machine::with_backend(dim, mode, ScalarBackend)
-    }
 }
 
 impl<E: Executor> Machine<E> {
-    /// Creates a machine on an explicit execution backend.
-    pub fn with_backend(dim: Dim, mode: ExecMode, exec: E) -> Self {
+    /// Creates a machine on an explicit execution backend. `mode` has one
+    /// value, [`ExecMode::Sequential`] (see its docs for why it stays).
+    pub fn with_backend(dim: Dim, _mode: ExecMode, exec: E) -> Self {
         Machine {
             dim,
-            mode,
             controller: Controller::new(),
             faults: FaultMap::new(),
             transient: None,
@@ -265,16 +258,6 @@ impl<E: Executor> Machine<E> {
         self.dim
     }
 
-    /// The host execution mode.
-    pub fn mode(&self) -> ExecMode {
-        self.mode
-    }
-
-    /// Changes the host execution mode (does not affect step counts).
-    pub fn set_mode(&mut self, mode: ExecMode) {
-        self.mode = mode;
-    }
-
     /// Read access to the step-counting controller.
     pub fn controller(&self) -> &Controller {
         &self.controller
@@ -419,7 +402,9 @@ impl<E: Executor> Machine<E> {
         let (occ, clusters) = self.plane_activity(Some(dir), open);
         self.issue(MicroOp::Broadcast(dir), occ, clusters);
         let t = self.micro_start();
-        let out = self.exec.broadcast(self.mode, self.dim, src, dir, open);
+        let out = self
+            .exec
+            .broadcast(ExecMode::Sequential, self.dim, src, dir, open);
         self.micro_stop(Op::Broadcast, t);
         out
     }
@@ -437,7 +422,9 @@ impl<E: Executor> Machine<E> {
         let (occ, clusters) = self.plane_activity(Some(dir), open);
         self.issue(MicroOp::BusOr(dir), occ, clusters);
         let t = self.micro_start();
-        let out = self.exec.bus_or(self.mode, self.dim, values, dir, open);
+        let out = self
+            .exec
+            .bus_or(ExecMode::Sequential, self.dim, values, dir, open);
         self.micro_stop(Op::BusOr, t);
         out
     }
@@ -457,7 +444,7 @@ impl<E: Executor> Machine<E> {
             let t = self.micro_start();
             let out = self
                 .exec
-                .broadcast_masked(self.mode, self.dim, src, dir, open);
+                .broadcast_masked(ExecMode::Sequential, self.dim, src, dir, open);
             self.micro_stop(Op::Broadcast, t);
             return out;
         }
@@ -469,7 +456,7 @@ impl<E: Executor> Machine<E> {
         let t = self.micro_start();
         let out = self
             .exec
-            .broadcast(self.mode, self.dim, src, dir, open_plane);
+            .broadcast(ExecMode::Sequential, self.dim, src, dir, open_plane);
         self.micro_stop(Op::Broadcast, t);
         out
     }
@@ -490,7 +477,7 @@ impl<E: Executor> Machine<E> {
             let t = self.micro_start();
             let out = self
                 .exec
-                .mask_bus_or(self.mode, self.dim, values, dir, open);
+                .mask_bus_or(ExecMode::Sequential, self.dim, values, dir, open);
             self.micro_stop(Op::BusOr, t);
             return out;
         }
@@ -503,7 +490,7 @@ impl<E: Executor> Machine<E> {
         let routed = self.exec.mask_from_plane(self.dim, open_plane);
         let out = self
             .exec
-            .mask_bus_or(self.mode, self.dim, values, dir, &routed);
+            .mask_bus_or(ExecMode::Sequential, self.dim, values, dir, &routed);
         self.micro_stop(Op::BusOr, t);
         out
     }
@@ -519,7 +506,9 @@ impl<E: Executor> Machine<E> {
         self.guard()?;
         self.issue(MicroOp::Shift(dir), None, None);
         let t = self.micro_start();
-        let out = self.exec.shift(self.mode, self.dim, src, dir, fill);
+        let out = self
+            .exec
+            .shift(ExecMode::Sequential, self.dim, src, dir, fill);
         self.micro_stop(Op::Shift, t);
         out
     }
@@ -553,8 +542,7 @@ impl<E: Executor> Machine<E> {
         let (occ, _) = self.plane_activity(None, flags);
         self.issue(MicroOp::GlobalOr, occ, None);
         let t = self.micro_start();
-        let f = flags.as_slice();
-        let any = crate::engine::reduce(self.mode, self.dim.len(), false, |i| f[i], |a, b| a || b);
+        let any = flags.as_slice().iter().any(|&f| f);
         self.micro_stop(Op::GlobalOr, t);
         Ok(any)
     }
@@ -607,7 +595,7 @@ impl<E: Executor> Machine<E> {
         self.check(src)?;
         self.issue(MicroOp::Map, None, None);
         let t = self.micro_start();
-        let out = self.exec.bit_plane(self.mode, self.dim, src, j);
+        let out = self.exec.bit_plane(ExecMode::Sequential, self.dim, src, j);
         self.micro_stop(Op::Alu, t);
         Ok(out)
     }
@@ -617,7 +605,9 @@ impl<E: Executor> Machine<E> {
     pub fn mask_vote(&mut self, enable: &E::Mask, bit: &E::Mask, keep_low: bool) -> E::Mask {
         self.issue(MicroOp::Zip, None, None);
         let t = self.micro_start();
-        let out = self.exec.vote(self.mode, self.dim, enable, bit, keep_low);
+        let out = self
+            .exec
+            .vote(ExecMode::Sequential, self.dim, enable, bit, keep_low);
         self.micro_stop(Op::Alu, t);
         out
     }
@@ -634,9 +624,14 @@ impl<E: Executor> Machine<E> {
     ) -> E::Mask {
         self.issue(MicroOp::Zip3, None, None);
         let t = self.micro_start();
-        let out = self
-            .exec
-            .knockout(self.mode, self.dim, enable, present, bit, keep_low);
+        let out = self.exec.knockout(
+            ExecMode::Sequential,
+            self.dim,
+            enable,
+            present,
+            bit,
+            keep_low,
+        );
         self.micro_stop(Op::Alu, t);
         out
     }
@@ -690,7 +685,7 @@ impl<E: Executor> Machine<E> {
             report.patterns_run += 1;
             // The healthy expectation is computed by the controller host on
             // the *intended* mask — no array steps, no fault application.
-            let expected = bus::broadcast(self.mode, self.dim, &ident, pattern.dir, &pattern.open)
+            let expected = bus::broadcast(self.dim, &ident, pattern.dir, &pattern.open)
                 .expect("bist patterns drive every line");
             let heads = bus::cluster_heads(self.dim, pattern.dir, &pattern.open)
                 .expect("bist patterns drive every line");
@@ -761,7 +756,9 @@ impl<E: Executor> Machine<E> {
         self.issue(MicroOp::Map, None, None);
         let t = self.micro_start();
         let s = src.as_slice();
-        let data = self.exec.build(self.mode, self.dim.len(), |i| f(&s[i]));
+        let data = self
+            .exec
+            .build(ExecMode::Sequential, self.dim.len(), |i| f(&s[i]));
         let out = Plane::from_vec(self.dim, data);
         self.micro_stop(Op::Alu, t);
         Ok(out)
@@ -788,7 +785,7 @@ impl<E: Executor> Machine<E> {
         let (sa, sb) = (a.as_slice(), b.as_slice());
         let data = self
             .exec
-            .build(self.mode, self.dim.len(), |i| f(&sa[i], &sb[i]));
+            .build(ExecMode::Sequential, self.dim.len(), |i| f(&sa[i], &sb[i]));
         let out = Plane::from_vec(self.dim, data);
         self.micro_stop(Op::Alu, t);
         Ok(out)
@@ -816,9 +813,9 @@ impl<E: Executor> Machine<E> {
         self.issue(MicroOp::Zip3, None, None);
         let t = self.micro_start();
         let (sa, sb, sc) = (a.as_slice(), b.as_slice(), c.as_slice());
-        let data = self
-            .exec
-            .build(self.mode, self.dim.len(), |i| f(&sa[i], &sb[i], &sc[i]));
+        let data = self.exec.build(ExecMode::Sequential, self.dim.len(), |i| {
+            f(&sa[i], &sb[i], &sc[i])
+        });
         let out = Plane::from_vec(self.dim, data);
         self.micro_stop(Op::Alu, t);
         Ok(out)

@@ -1,4 +1,4 @@
-//! The packed execution backend: wide-word bitset masks, a recycling plane
+//! The packed execution backend: `u64` bitset masks, a recycling plane
 //! arena, plan-free broadcasts, memoized bit slices and a wired-OR plan
 //! cache.
 //!
@@ -6,10 +6,9 @@
 //! the scalar reference backend lacks:
 //!
 //! * **Packed masks** — every `Plane<bool>` mask inside the bit-serial
-//!   `min`/`selected_min` loop is a [`PackedMask`]: `W::BITS` PEs per
-//!   machine word (see the [`Word`] seam), so votes, knockouts and
-//!   occupancy counting are word ops and popcounts instead of per-PE byte
-//!   walks.
+//!   `min`/`selected_min` loop is a [`PackedMask`]: 64 PEs per `u64` word,
+//!   so votes, knockouts and occupancy counting are word ops and popcounts
+//!   instead of per-PE byte walks.
 //! * **Plane arena** — mask words are recycled through a shared
 //!   [`WordPool`]; after warm-up the O(h) scan loop allocates nothing.
 //! * **Plan-free broadcast** — `broadcast` and `broadcast_masked` read the
@@ -28,53 +27,73 @@
 //!   the wired-OR is computed once per distinct (direction, Open-mask)
 //!   switch configuration and reused; the MCP inner loop replays the same
 //!   configuration across all h bit passes, so nearly every wired-OR hits
-//!   the cache. Plans are fingerprinted per word width, so a 64-bit plan
-//!   can never be replayed against 256-bit masks.
+//!   the cache.
 //!
-//! The backend is generic over the machine word: `PackedBackend<W64>` (the
-//! default) is the historical u64 backend, `PackedBackend<W256>` runs the
-//! same kernels over 256-bit SWAR words. Semantics are bit-identical to
-//! [`ScalarBackend`](crate::ScalarBackend) at every width: the differential
-//! suites in `tests/backend_diff.rs` and `tests/backend_width.rs` assert
-//! values *and* step counts across backends and widths.
+//! Semantics are bit-identical to [`ScalarBackend`](crate::ScalarBackend):
+//! the differential suites in `tests/backend_diff.rs` and
+//! `tests/backend_width.rs` assert values *and* step counts across the two
+//! backends.
 
 use std::cell::RefCell;
 use std::rc::Rc;
 use std::sync::{Arc, Weak};
 
 use crate::bus;
-use crate::engine::ExecMode;
 use crate::error::MachineError;
 use crate::geometry::{Axis, Dim, Direction};
-use crate::isa::{ExecStats, Executor};
+use crate::isa::{ExecMode, ExecStats, Executor};
 use crate::machine::Machine;
 use crate::plane::Plane;
-use crate::word::{Word, W64};
 
 /// Retained wired-OR plans; a `min` scan replays one configuration per
 /// call and the MCP loop uses only a few, so a small LRU never evicts a
 /// live plan while tolerating mask churn.
-pub(crate) const PLAN_CACHE_CAP: usize = 32;
+const PLAN_CACHE_CAP: usize = 32;
 
 /// Source planes whose bit slices stay memoized: the running `min` scan's
 /// source plus one loop-invariant source (statement 12's `COL`), which
 /// then hits across iterations.
 const SLICE_MEMO_CAP: usize = 2;
 
-/// Number of `W`-words needed to back one bit per PE of `dim` — the
-/// width-neutral stride every packed buffer is sized with.
-pub(crate) fn words_for<W: Word>(dim: Dim) -> usize {
-    dim.len().div_ceil(W::BITS)
+/// Number of `u64` words needed to back one bit per PE of `dim`.
+fn words_for(dim: Dim) -> usize {
+    dim.len().div_ceil(64)
+}
+
+/// Bits `start..end` of a word set (`start <= end <= 64`).
+fn range_mask(start: usize, end: usize) -> u64 {
+    let low = |n: usize| if n >= 64 { !0 } else { (1u64 << n) - 1 };
+    low(end) & !low(start)
+}
+
+/// Whether bit `i` of a flat bitset is set.
+#[inline]
+fn bit(words: &[u64], i: usize) -> bool {
+    (words[i / 64] >> (i % 64)) & 1 == 1
+}
+
+/// Sets bit `i` of a flat bitset.
+#[inline]
+fn set_bit(words: &mut [u64], i: usize) {
+    words[i / 64] |= 1 << (i % 64);
+}
+
+/// Calls `f` with each set bit position of `word`, ascending.
+#[inline]
+fn for_each_set_bit(mut word: u64, mut f: impl FnMut(usize)) {
+    while word != 0 {
+        f(word.trailing_zeros() as usize);
+        word &= word - 1;
+    }
 }
 
 /// Whether any bit in `start..end` of a flat bitset is set.
-pub(crate) fn range_any<W: Word>(words: &[W], start: usize, end: usize) -> bool {
+fn range_any(words: &[u64], start: usize, end: usize) -> bool {
     let mut i = start;
     while i < end {
-        let wi = i / W::BITS;
-        let off = i % W::BITS;
-        let take = (W::BITS - off).min(end - i);
-        if !(words[wi] & W::range_mask(off, off + take)).is_zero() {
+        let off = i % 64;
+        let take = (64 - off).min(end - i);
+        if words[i / 64] & range_mask(off, off + take) != 0 {
             return true;
         }
         i += take;
@@ -83,176 +102,38 @@ pub(crate) fn range_any<W: Word>(words: &[W], start: usize, end: usize) -> bool 
 }
 
 /// Sets every bit in `start..end` of a flat bitset.
-pub(crate) fn set_range<W: Word>(words: &mut [W], start: usize, end: usize) {
+fn set_range(words: &mut [u64], start: usize, end: usize) {
     let mut i = start;
     while i < end {
-        let wi = i / W::BITS;
-        let off = i % W::BITS;
-        let take = (W::BITS - off).min(end - i);
-        words[wi] |= W::range_mask(off, off + take);
+        let off = i % 64;
+        let take = (64 - off).min(end - i);
+        words[i / 64] |= range_mask(off, off + take);
         i += take;
     }
 }
 
-// ----- word kernels ---------------------------------------------------
-//
-// The per-word mechanics of every packed mask micro-op, written over a
-// word range `w0..w0 + out.len()` so the threaded backend can shard the
-// same kernels across its worker pool. The packed backend always calls
-// them with the full range; bit-identity across the two backends is
-// therefore structural, not coincidental. All kernels are generic over
-// the machine word and build output words limb-by-limb, so `W64` compiles
-// to exactly the historical u64 loops.
-
-/// Packs the booleans backing words `w0..` of a flat plane into `out`.
-pub(crate) fn pack_range<W: Word>(src: &[bool], w0: usize, out: &mut [W]) {
-    for (k, w) in out.iter_mut().enumerate() {
-        let base = (w0 + k) * W::BITS;
-        let top = W::BITS.min(src.len() - base);
-        let mut word = W::zero();
-        let mut done = 0;
-        while done < top {
-            let take = 64.min(top - done);
-            word.set_limb(done / 64, pack_limb(&src[base + done..base + done + take]));
-            done += take;
-        }
-        *w = word;
+/// Packs a flat boolean plane into `out`, 64 PEs a word.
+fn pack(src: &[bool], out: &mut [u64]) {
+    for (w, chunk) in out.iter_mut().zip(src.chunks(64)) {
+        *w = pack_word(chunk);
     }
 }
 
-/// Packs up to 64 booleans into a limb, eight at a time: a `bool` is a 0/1
+/// Packs up to 64 booleans into a word, eight at a time: a `bool` is a 0/1
 /// byte, so eight of them load as one word whose byte lanes one multiply
 /// gathers into a byte of bits.
-fn pack_limb(bools: &[bool]) -> u64 {
+fn pack_word(bools: &[bool]) -> u64 {
     let mut chunks = bools.chunks_exact(8);
-    let mut limb = 0u64;
+    let mut word = 0u64;
     for (g, chunk) in (&mut chunks).enumerate() {
         let lanes = u64::from_le_bytes(std::array::from_fn(|t| chunk[t] as u8));
-        limb |= (lanes.wrapping_mul(GATHER_LSBS) >> 56) << (8 * g);
+        word |= (lanes.wrapping_mul(GATHER_LSBS) >> 56) << (8 * g);
     }
     let done = bools.len() - chunks.remainder().len();
     for (b, &v) in chunks.remainder().iter().enumerate() {
-        limb |= (v as u64) << (done + b);
+        word |= (v as u64) << (done + b);
     }
-    limb
-}
-
-/// Extracts bit `j` of the values backing words `w0..` into `out`.
-pub(crate) fn bit_plane_range<W: Word>(src: &[i64], j: u32, w0: usize, out: &mut [W]) {
-    for (k, w) in out.iter_mut().enumerate() {
-        let base = (w0 + k) * W::BITS;
-        let top = W::BITS.min(src.len() - base);
-        let mut word = W::zero();
-        let mut done = 0;
-        while done < top {
-            let take = 64.min(top - done);
-            let mut limb = 0u64;
-            for (b, &x) in src[base + done..base + done + take].iter().enumerate() {
-                debug_assert!(x >= 0, "bit-serial scan expects non-negative values");
-                limb |= (((x >> j) & 1) as u64) << b;
-            }
-            word.set_limb(done / 64, limb);
-            done += take;
-        }
-        *w = word;
-    }
-}
-
-/// The voting step over words `w0..`: Min rule `e & !b`, Max rule `e & b`.
-/// `enable` has zero trailing bits, so the negation preserves the trim
-/// invariant.
-pub(crate) fn vote_range<W: Word>(e: &[W], b: &[W], keep_low: bool, w0: usize, out: &mut [W]) {
-    for (k, w) in out.iter_mut().enumerate() {
-        let (ew, bw) = (e[w0 + k], b[w0 + k]);
-        *w = if keep_low { ew & !bw } else { ew & bw };
-    }
-}
-
-/// The knockout step over words `w0..`: Min rule `e & !(p & b)`, Max rule
-/// `e & (!p | b)`.
-pub(crate) fn knockout_range<W: Word>(
-    e: &[W],
-    p: &[W],
-    b: &[W],
-    keep_low: bool,
-    w0: usize,
-    out: &mut [W],
-) {
-    for (k, w) in out.iter_mut().enumerate() {
-        let (ew, pw, bw) = (e[w0 + k], p[w0 + k], b[w0 + k]);
-        *w = if keep_low {
-            ew & !(pw & bw)
-        } else {
-            ew & (!pw | bw)
-        };
-    }
-}
-
-/// Wired-OR pass 1 over row-run segments: deposits a bit at the cluster
-/// key of every segment that contains a set value bit.
-pub(crate) fn bus_or_deposit_segs<W: Word>(values: &[W], segs: &[(u32, u32, u32)], acc: &mut [W]) {
-    for &(s, e, k) in segs {
-        if range_any(values, s as usize, e as usize) {
-            let k = k as usize;
-            acc[k / W::BITS] = acc[k / W::BITS].with_bit(k % W::BITS);
-        }
-    }
-}
-
-/// Wired-OR pass 2 over row-run segments: fills every segment whose
-/// cluster key is lit in `acc`.
-pub(crate) fn bus_or_fill_segs<W: Word>(acc: &[W], segs: &[(u32, u32, u32)], out: &mut [W]) {
-    for &(s, e, k) in segs {
-        let k = k as usize;
-        if acc[k / W::BITS].bit(k % W::BITS) {
-            set_range(out, s as usize, e as usize);
-        }
-    }
-}
-
-/// Wired-OR pass 1, general axis: deposits the set bits of `values`
-/// words `w0..w0 + nwords` at their cluster keys.
-pub(crate) fn bus_or_deposit_keys<W: Word>(
-    values: &[W],
-    keys: &[u32],
-    w0: usize,
-    nwords: usize,
-    acc: &mut [W],
-) {
-    for wi in w0..w0 + nwords {
-        values[wi].for_each_set_bit(|b| {
-            let key = keys[wi * W::BITS + b] as usize;
-            acc[key / W::BITS] = acc[key / W::BITS].with_bit(key % W::BITS);
-        });
-    }
-}
-
-/// Wired-OR pass 2, general axis: words `w0..` of the result, each PE
-/// reading its cluster key back from `acc` (`len` is the PE count).
-pub(crate) fn bus_or_read_keys<W: Word>(
-    acc: &[W],
-    keys: &[u32],
-    len: usize,
-    w0: usize,
-    out: &mut [W],
-) {
-    for (k, w) in out.iter_mut().enumerate() {
-        let base = (w0 + k) * W::BITS;
-        let top = W::BITS.min(len - base);
-        let mut word = W::zero();
-        let mut done = 0;
-        while done < top {
-            let take = 64.min(top - done);
-            let mut limb = 0u64;
-            for b in 0..take {
-                let key = keys[base + done + b] as usize;
-                limb |= (acc[key / W::BITS].bit(key % W::BITS) as u64) << b;
-            }
-            word.set_limb(done / 64, limb);
-            done += take;
-        }
-        *w = word;
-    }
+    word
 }
 
 // ----- plan-free broadcast -------------------------------------------
@@ -266,15 +147,16 @@ pub(crate) fn bus_or_read_keys<W: Word>(
 
 /// Appends the Open columns of row `r` of a packed pattern, ascending, to
 /// `out`.
-fn open_cols<W: Word>(open: &[W], dim: Dim, r: usize, out: &mut Vec<usize>) {
+fn open_cols(open: &[u64], dim: Dim, r: usize, out: &mut Vec<usize>) {
     let (start, end) = (r * dim.cols, (r + 1) * dim.cols);
     let mut i = start;
     while i < end {
-        let (wi, off) = (i / W::BITS, i % W::BITS);
-        let take = (W::BITS - off).min(end - i);
-        let word_start = wi * W::BITS;
-        (open[wi] & W::range_mask(off, off + take))
-            .for_each_set_bit(|b| out.push(word_start + b - start));
+        let (wi, off) = (i / 64, i % 64);
+        let take = (64 - off).min(end - i);
+        let word_start = wi * 64;
+        for_each_set_bit(open[wi] & range_mask(off, off + take), |b| {
+            out.push(word_start + b - start)
+        });
         i += take;
     }
 }
@@ -283,11 +165,11 @@ fn open_cols<W: Word>(open: &[W], dim: Dim, r: usize, out: &mut Vec<usize>) {
 /// pattern `open`, with [`bus::broadcast`]'s semantics and fault: lines
 /// without an Open node are reported, ascending, as a
 /// [`MachineError::BusFault`]. `opens` is caller-owned scratch.
-fn broadcast_rows<T: Copy, W: Word>(
+fn broadcast_rows<T: Copy>(
     dim: Dim,
     src: &[T],
     dir: Direction,
-    open: &[W],
+    open: &[u64],
     opens: &mut Vec<usize>,
 ) -> Result<Vec<T>, MachineError> {
     let cols = dim.cols;
@@ -412,10 +294,10 @@ struct BitSlices {
     dim: Option<Dim>,
     /// Bit planes held; every higher bit is zero in every value.
     planes: usize,
-    /// 64-bit limbs per plane (whole `W` words).
+    /// Words per plane.
     stride: usize,
-    /// Plane `j` is `limbs[j * stride..(j + 1) * stride]`, 64 PEs a limb.
-    limbs: Vec<u64>,
+    /// Plane `j` is `words[j * stride..(j + 1) * stride]`, 64 PEs a word.
+    words: Vec<u64>,
 }
 
 impl BitSlices {
@@ -438,8 +320,8 @@ impl BitSlices {
         self.dim = Some(dim);
         self.planes = planes;
         self.stride = stride;
-        self.limbs.clear();
-        self.limbs.resize(planes * stride, 0);
+        self.words.clear();
+        self.words.resize(planes * stride, 0);
         let bytes = planes.div_ceil(8);
         for (l, chunk) in src.chunks(64).enumerate() {
             // lanes[k][g]: byte k of the values of PEs 8g..8g + 8.
@@ -456,94 +338,79 @@ impl BitSlices {
             }
             for (k, lane) in lanes[..bytes].iter().enumerate() {
                 for b in 0..(planes - 8 * k).min(8) {
-                    let mut limb = 0u64;
+                    let mut word = 0u64;
                     for (g, &x) in lane.iter().enumerate() {
-                        limb |= (((x >> b) & BYTE_LSBS).wrapping_mul(GATHER_LSBS) >> 56) << (8 * g);
+                        word |= (((x >> b) & BYTE_LSBS).wrapping_mul(GATHER_LSBS) >> 56) << (8 * g);
                     }
-                    self.limbs[(8 * k + b) * stride + l] = limb;
+                    self.words[(8 * k + b) * stride + l] = word;
                 }
             }
         }
     }
 
     /// Copies plane `j` into `out` (all zeros above the highest plane).
-    fn copy_plane<W: Word>(&self, j: usize, out: &mut [W]) {
+    fn copy_plane(&self, j: usize, out: &mut [u64]) {
         if j >= self.planes {
-            out.fill(W::zero());
-            return;
-        }
-        let plane = &self.limbs[j * self.stride..(j + 1) * self.stride];
-        for (w, limbs) in out.iter_mut().zip(plane.chunks_exact(W::LIMBS)) {
-            for (i, &limb) in limbs.iter().enumerate() {
-                w.set_limb(i, limb);
-            }
+            out.fill(0);
+        } else {
+            out.copy_from_slice(&self.words[j * self.stride..(j + 1) * self.stride]);
         }
     }
 }
 
 /// The shared mask arena: spent word buffers waiting to be reissued.
-#[derive(Debug)]
-pub(crate) struct WordPool<W> {
-    free: Vec<Vec<W>>,
-    pub(crate) fresh: u64,
-    pub(crate) reused: u64,
+#[derive(Debug, Default)]
+struct WordPool {
+    free: Vec<Vec<u64>>,
+    fresh: u64,
+    reused: u64,
 }
 
-impl<W> Default for WordPool<W> {
-    fn default() -> Self {
-        WordPool {
-            free: Vec::new(),
-            fresh: 0,
-            reused: 0,
-        }
-    }
-}
-
-impl<W: Word> WordPool<W> {
+impl WordPool {
     /// A zeroed buffer of exactly `words` words, recycled when possible.
-    pub(crate) fn get(&mut self, words: usize) -> Vec<W> {
+    fn get(&mut self, words: usize) -> Vec<u64> {
         while let Some(mut buf) = self.free.pop() {
             if buf.len() == words {
                 self.reused += 1;
-                buf.fill(W::zero());
+                buf.fill(0);
                 return buf;
             }
             // Stale geometry (machine rebuilt with another dim): discard.
         }
         self.fresh += 1;
-        vec![W::zero(); words]
+        vec![0; words]
     }
 
-    pub(crate) fn put(&mut self, buf: Vec<W>) {
+    fn put(&mut self, buf: Vec<u64>) {
         if !buf.is_empty() {
             self.free.push(buf);
         }
     }
 }
 
-/// A boolean mask plane packed `W::BITS` PEs per machine word (row-major
-/// flat order).
+/// A boolean mask plane packed 64 PEs per `u64` word (row-major flat
+/// order).
 ///
 /// Buffers are leased from the backend's [`WordPool`]: dropping or cloning
 /// a mask goes through the arena, so steady-state mask traffic allocates
 /// nothing. Bits at positions `>= dim.len()` in the last word are always
 /// zero (every producing operation maintains the invariant).
-pub struct PackedMask<W: Word = W64> {
+pub struct PackedMask {
     dim: Dim,
-    words: Vec<W>,
-    pool: Rc<RefCell<WordPool<W>>>,
+    words: Vec<u64>,
+    pool: Rc<RefCell<WordPool>>,
 }
 
-impl<W: Word> PackedMask<W> {
+impl PackedMask {
     /// Whether the bit for flat PE index `i` is set.
     #[inline]
     pub fn bit(&self, i: usize) -> bool {
-        self.words[i / W::BITS].bit(i % W::BITS)
+        bit(&self.words, i)
     }
 
     /// Number of set PEs (a popcount per word).
     pub fn count(&self) -> usize {
-        self.words.iter().map(|w| w.count_ones()).sum()
+        self.words.iter().map(|w| w.count_ones() as usize).sum()
     }
 
     /// The mask geometry.
@@ -553,22 +420,22 @@ impl<W: Word> PackedMask<W> {
 
     /// Zeroes any bits at positions `>= dim.len()` in the last word.
     fn trim(&mut self) {
-        let rem = self.dim.len() % W::BITS;
+        let rem = self.dim.len() % 64;
         if rem != 0 {
             if let Some(last) = self.words.last_mut() {
-                *last &= W::low_mask(rem);
+                *last &= range_mask(0, rem);
             }
         }
     }
 }
 
-impl<W: Word> Drop for PackedMask<W> {
+impl Drop for PackedMask {
     fn drop(&mut self) {
         self.pool.borrow_mut().put(std::mem::take(&mut self.words));
     }
 }
 
-impl<W: Word> Clone for PackedMask<W> {
+impl Clone for PackedMask {
     fn clone(&self) -> Self {
         let mut words = self.pool.borrow_mut().get(self.words.len());
         words.copy_from_slice(&self.words);
@@ -580,104 +447,89 @@ impl<W: Word> Clone for PackedMask<W> {
     }
 }
 
-impl<W: Word> PartialEq for PackedMask<W> {
+impl PartialEq for PackedMask {
     fn eq(&self, other: &Self) -> bool {
         self.dim == other.dim && self.words == other.words
     }
 }
 
-impl<W: Word> std::fmt::Debug for PackedMask<W> {
+impl std::fmt::Debug for PackedMask {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("PackedMask")
             .field("dim", &self.dim)
-            .field("word_bits", &W::BITS)
             .field("set", &self.count())
             .finish()
     }
 }
 
-/// A cached bus-cluster resolution for one (direction, Open mask) pair.
+/// A cached wired-OR cluster resolution for one (direction, Open mask)
+/// pair.
 #[derive(Debug)]
-pub(crate) struct BusPlan {
+struct BusPlan {
     /// Flat index of the driving Open node, per PE (floating-segment key on
     /// driverless lines — see [`bus::cluster_keys`]).
-    pub(crate) keys: Vec<u32>,
-    /// Lines with no Open node (broadcast faults on these; wired-OR spans).
-    pub(crate) driverless: Vec<usize>,
+    keys: Vec<u32>,
     /// Maximal runs of equal key as `(start, end, key)` flat-index ranges —
     /// populated only for row-axis plans, where each line's positions are
     /// contiguous in row-major order. A cluster that wraps around its line
     /// contributes two runs with the same key; the wired-OR fast path
     /// accumulates per key, so that is handled naturally.
-    pub(crate) segs: Vec<(u32, u32, u32)>,
+    segs: Vec<(u32, u32, u32)>,
 }
 
-/// Derives the cluster plan for a packed Open mask from scratch — the
-/// packed wired-OR's cache-miss path, and every plan the threaded backend
-/// caches (its broadcasts still replay plans).
-pub(crate) fn compute_plan<W: Word>(dim: Dim, dir: Direction, words: &[W]) -> BusPlan {
-    let mut open = vec![false; dim.len()];
-    for (i, o) in open.iter_mut().enumerate() {
-        *o = words[i / W::BITS].bit(i % W::BITS);
-    }
-    let (keys, driverless) = bus::cluster_keys(dim, dir, &open);
-    let segs = if dir.axis() == Axis::Row {
+impl BusPlan {
+    /// Derives the cluster plan for a packed Open mask from scratch — the
+    /// wired-OR's cache-miss path.
+    fn compute(dim: Dim, dir: Direction, words: &[u64]) -> BusPlan {
+        let open: Vec<bool> = (0..dim.len()).map(|i| bit(words, i)).collect();
+        let (keys, _) = bus::cluster_keys(dim, dir, &open);
         let mut segs = Vec::new();
-        for r in 0..dim.rows {
-            let base = r * dim.cols;
-            let mut s = base;
-            for p in base + 1..base + dim.cols {
-                if keys[p] != keys[s] {
-                    segs.push((s as u32, p as u32, keys[s]));
-                    s = p;
+        if dir.axis() == Axis::Row {
+            for r in 0..dim.rows {
+                let base = r * dim.cols;
+                let mut s = base;
+                for p in base + 1..base + dim.cols {
+                    if keys[p] != keys[s] {
+                        segs.push((s as u32, p as u32, keys[s]));
+                        s = p;
+                    }
                 }
+                segs.push((s as u32, (base + dim.cols) as u32, keys[s]));
             }
-            segs.push((s as u32, (base + dim.cols) as u32, keys[s]));
         }
-        segs
-    } else {
-        Vec::new()
-    };
-    BusPlan {
-        keys,
-        driverless,
-        segs,
+        BusPlan { keys, segs }
     }
 }
 
 #[derive(Debug, Clone)]
-struct PlanEntry<W> {
+struct PlanEntry {
     dir: Direction,
     fp: u64,
-    words: Vec<W>,
+    words: Vec<u64>,
     plan: Rc<BusPlan>,
 }
 
-/// FNV-1a over the packed words, seeded with the direction *and* the word
-/// width, so plans can never be confused across widths even if two mask
-/// encodings happen to share limb values.
-pub(crate) fn fingerprint<W: Word>(dir: Direction, words: &[W]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64
-        ^ (dir as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15)
-        ^ (W::BITS as u64).wrapping_mul(0x2545_f491_4f6c_dd1d);
+/// FNV-1a over the packed words, seeded with the direction.
+fn fingerprint(dir: Direction, words: &[u64]) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64 ^ (dir as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
     for &w in words {
-        h = w.fold_fnv(h);
+        h ^= w;
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
     }
     h
 }
 
-/// The packed bit-plane execution backend (see module docs), generic over
-/// the machine word `W`.
+/// The packed bit-plane execution backend (see module docs).
 #[derive(Debug, Clone)]
-pub struct PackedBackend<W: Word = W64> {
-    pool: Rc<RefCell<WordPool<W>>>,
-    plans: Vec<PlanEntry<W>>,
+pub struct PackedBackend {
+    pool: Rc<RefCell<WordPool>>,
+    plans: Vec<PlanEntry>,
     plan_hits: u64,
     plan_misses: u64,
     /// Bit-slice memo, least recently used first.
     slices: Vec<BitSlices>,
     /// Broadcast scratch: a plane-form Open pattern, packed.
-    scratch: Vec<W>,
+    scratch: Vec<u64>,
     /// Broadcast scratch: one row's Open columns.
     opens: Vec<usize>,
     /// Bench-gate mutation drill only: corrupt one bit of every vote.
@@ -685,7 +537,7 @@ pub struct PackedBackend<W: Word = W64> {
     perturb_vote: bool,
 }
 
-impl<W: Word> PackedBackend<W> {
+impl PackedBackend {
     /// A fresh backend with an empty arena, slice memo and plan cache.
     pub fn new() -> Self {
         PackedBackend {
@@ -703,8 +555,8 @@ impl<W: Word> PackedBackend<W> {
 
     /// A deliberately broken backend whose `vote` flips bit 0 of its first
     /// output word — the bench-gate mutation drill uses this to prove the
-    /// width differential actually fails on a one-bit kernel corruption.
-    /// Never compiled into release binaries.
+    /// scalar-vs-packed differential actually fails on a one-bit kernel
+    /// corruption. Never compiled into release binaries.
     #[cfg(any(test, feature = "mutation-drill"))]
     pub fn with_perturbed_vote() -> Self {
         let mut be = PackedBackend::new();
@@ -712,8 +564,8 @@ impl<W: Word> PackedBackend<W> {
         be
     }
 
-    fn alloc_mask(&mut self, dim: Dim) -> PackedMask<W> {
-        let words = self.pool.borrow_mut().get(words_for::<W>(dim));
+    fn alloc_mask(&mut self, dim: Dim) -> PackedMask {
+        let words = self.pool.borrow_mut().get(words_for(dim));
         PackedMask {
             dim,
             words,
@@ -722,7 +574,7 @@ impl<W: Word> PackedBackend<W> {
     }
 
     /// The cached cluster plan for `open` given as packed words.
-    fn plan_for_words(&mut self, dim: Dim, dir: Direction, words: &[W]) -> Rc<BusPlan> {
+    fn plan_for_words(&mut self, dim: Dim, dir: Direction, words: &[u64]) -> Rc<BusPlan> {
         let fp = fingerprint(dir, words);
         if let Some(pos) = self
             .plans
@@ -736,7 +588,7 @@ impl<W: Word> PackedBackend<W> {
             return plan;
         }
         self.plan_misses += 1;
-        let plan = Rc::new(compute_plan(dim, dir, words));
+        let plan = Rc::new(BusPlan::compute(dim, dir, words));
         if self.plans.len() >= PLAN_CACHE_CAP {
             self.plans.remove(0);
         }
@@ -761,7 +613,7 @@ impl<W: Word> PackedBackend<W> {
                 } else {
                     BitSlices::default()
                 };
-                entry.fill(dim, &shared, words_for::<W>(dim) * W::LIMBS);
+                entry.fill(dim, &shared, words_for(dim));
                 entry
             }
         };
@@ -770,82 +622,83 @@ impl<W: Word> PackedBackend<W> {
     }
 }
 
-impl<W: Word> Default for PackedBackend<W> {
+impl Default for PackedBackend {
     fn default() -> Self {
         PackedBackend::new()
     }
 }
 
-impl<W: Word> Executor for PackedBackend<W> {
-    type Mask = PackedMask<W>;
+impl Executor for PackedBackend {
+    type Mask = PackedMask;
 
-    const NAME: &'static str = W::PACKED_NAME;
+    const NAME: &'static str = "packed";
 
-    fn mask_from_plane(&mut self, dim: Dim, plane: &Plane<bool>) -> PackedMask<W> {
+    fn mask_from_plane(&mut self, dim: Dim, plane: &Plane<bool>) -> PackedMask {
         let mut mask = self.alloc_mask(dim);
-        pack_range(plane.as_slice(), 0, &mut mask.words);
+        pack(plane.as_slice(), &mut mask.words);
         mask
     }
 
-    fn mask_to_plane(&self, dim: Dim, mask: &PackedMask<W>) -> Plane<bool> {
+    fn mask_to_plane(&self, dim: Dim, mask: &PackedMask) -> Plane<bool> {
         Plane::from_vec(dim, (0..dim.len()).map(|i| mask.bit(i)).collect())
     }
 
-    fn mask_filled(&mut self, dim: Dim, value: bool) -> PackedMask<W> {
+    fn mask_filled(&mut self, dim: Dim, value: bool) -> PackedMask {
         let mut mask = self.alloc_mask(dim);
         if value {
-            mask.words.fill(W::ones());
+            mask.words.fill(!0);
             mask.trim();
         }
         mask
     }
 
-    fn mask_count(&self, _dim: Dim, mask: &PackedMask<W>) -> usize {
+    fn mask_count(&self, _dim: Dim, mask: &PackedMask) -> usize {
         mask.count()
     }
 
-    fn bit_plane(&mut self, _mode: ExecMode, dim: Dim, src: &Plane<i64>, j: u32) -> PackedMask<W> {
+    fn bit_plane(&mut self, _mode: ExecMode, dim: Dim, src: &Plane<i64>, j: u32) -> PackedMask {
         let mut mask = self.alloc_mask(dim);
         self.slices_for(dim, src)
             .copy_plane(j as usize, &mut mask.words);
         mask
     }
 
+    /// Min rule `e & !b`, Max rule `e & b`. `enable` has zero trailing
+    /// bits, so the negation preserves the trim invariant.
     fn vote(
         &mut self,
         _mode: ExecMode,
         dim: Dim,
-        enable: &PackedMask<W>,
-        bit: &PackedMask<W>,
+        enable: &PackedMask,
+        bit: &PackedMask,
         keep_low: bool,
-    ) -> PackedMask<W> {
+    ) -> PackedMask {
         let mut out = self.alloc_mask(dim);
-        vote_range(&enable.words, &bit.words, keep_low, 0, &mut out.words);
+        for ((w, &e), &b) in out.words.iter_mut().zip(&enable.words).zip(&bit.words) {
+            *w = if keep_low { e & !b } else { e & b };
+        }
         #[cfg(any(test, feature = "mutation-drill"))]
         if self.perturb_vote {
-            out.words[0] ^= W::zero().with_bit(0);
+            out.words[0] ^= 1;
         }
         out
     }
 
+    /// Min rule `e & !(p & b)`, Max rule `e & (!p | b)`.
     fn knockout(
         &mut self,
         _mode: ExecMode,
         dim: Dim,
-        enable: &PackedMask<W>,
-        present: &PackedMask<W>,
-        bit: &PackedMask<W>,
+        enable: &PackedMask,
+        present: &PackedMask,
+        bit: &PackedMask,
         keep_low: bool,
-    ) -> PackedMask<W> {
+    ) -> PackedMask {
         let mut out = self.alloc_mask(dim);
-        knockout_range(
-            &enable.words,
-            &present.words,
-            &bit.words,
-            keep_low,
-            0,
-            &mut out.words,
-        );
+        let operands = enable.words.iter().zip(&present.words).zip(&bit.words);
+        for (w, ((&e, &p), &b)) in out.words.iter_mut().zip(operands) {
+            *w = if keep_low { e & !(p & b) } else { e & (!p | b) };
+        }
         out
     }
 
@@ -853,25 +706,40 @@ impl<W: Word> Executor for PackedBackend<W> {
         &mut self,
         _mode: ExecMode,
         dim: Dim,
-        values: &PackedMask<W>,
+        values: &PackedMask,
         dir: Direction,
-        open: &PackedMask<W>,
-    ) -> Result<PackedMask<W>, MachineError> {
+        open: &PackedMask,
+    ) -> Result<PackedMask, MachineError> {
         let plan = self.plan_for_words(dim, dir, &open.words);
-        let nwords = words_for::<W>(dim);
         let mut out = self.alloc_mask(dim);
         // Accumulator bitset indexed by cluster key: pass 1 deposits set
         // value bits at their cluster key, pass 2 reads each PE's key back.
-        let mut acc = self.pool.borrow_mut().get(nwords);
+        let mut acc = self.pool.borrow_mut().get(words_for(dim));
         if !plan.segs.is_empty() {
             // Row-axis fast path: each cluster is a handful of contiguous
             // runs, so both passes are word-masked range ops instead of
             // per-PE bit walks.
-            bus_or_deposit_segs(&values.words, &plan.segs, &mut acc);
-            bus_or_fill_segs(&acc, &plan.segs, &mut out.words);
+            for &(s, e, k) in &plan.segs {
+                if range_any(&values.words, s as usize, e as usize) {
+                    set_bit(&mut acc, k as usize);
+                }
+            }
+            for &(s, e, k) in &plan.segs {
+                if bit(&acc, k as usize) {
+                    set_range(&mut out.words, s as usize, e as usize);
+                }
+            }
         } else {
-            bus_or_deposit_keys(&values.words, &plan.keys, 0, nwords, &mut acc);
-            bus_or_read_keys(&acc, &plan.keys, dim.len(), 0, &mut out.words);
+            for (wi, &w) in values.words.iter().enumerate() {
+                for_each_set_bit(w, |b| set_bit(&mut acc, plan.keys[wi * 64 + b] as usize));
+            }
+            for (w, keys) in out.words.iter_mut().zip(plan.keys.chunks(64)) {
+                let mut word = 0u64;
+                for (b, &key) in keys.iter().enumerate() {
+                    word |= (bit(&acc, key as usize) as u64) << b;
+                }
+                *w = word;
+            }
         }
         self.pool.borrow_mut().put(acc);
         Ok(out)
@@ -888,8 +756,8 @@ impl<W: Word> Executor for PackedBackend<W> {
         bus::check_dim(dim, src.dim())?;
         bus::check_dim(dim, open.dim())?;
         self.scratch.clear();
-        self.scratch.resize(words_for::<W>(dim), W::zero());
-        pack_range(open.as_slice(), 0, &mut self.scratch);
+        self.scratch.resize(words_for(dim), 0);
+        pack(open.as_slice(), &mut self.scratch);
         let data = broadcast_rows(dim, src.as_slice(), dir, &self.scratch, &mut self.opens)?;
         Ok(Plane::from_vec(dim, data))
     }
@@ -900,7 +768,7 @@ impl<W: Word> Executor for PackedBackend<W> {
         dim: Dim,
         src: &Plane<T>,
         dir: Direction,
-        open: &PackedMask<W>,
+        open: &PackedMask,
     ) -> Result<Plane<T>, MachineError> {
         bus::check_dim(dim, src.dim())?;
         let data = broadcast_rows(dim, src.as_slice(), dir, &open.words, &mut self.opens)?;
@@ -927,21 +795,8 @@ impl<W: Word> Executor for PackedBackend<W> {
 }
 
 impl Machine<PackedBackend> {
-    /// Creates a `rows x cols` machine on the packed backend (64-bit words).
+    /// Creates a `rows x cols` machine on the packed backend.
     pub fn new_packed(rows: usize, cols: usize) -> Self {
-        Machine::new_packed_wide(rows, cols)
-    }
-
-    /// Creates a square `n x n` machine on the packed backend (64-bit words).
-    pub fn packed_square(n: usize) -> Self {
-        Machine::new_packed(n, n)
-    }
-}
-
-impl<W: Word> Machine<PackedBackend<W>> {
-    /// Creates a `rows x cols` machine on the packed backend with machine
-    /// word `W`.
-    pub fn new_packed_wide(rows: usize, cols: usize) -> Self {
         Machine::with_backend(
             Dim::new(rows, cols),
             ExecMode::Sequential,
@@ -949,10 +804,9 @@ impl<W: Word> Machine<PackedBackend<W>> {
         )
     }
 
-    /// Creates a square `n x n` machine on the packed backend with machine
-    /// word `W`.
-    pub fn packed_square_wide(n: usize) -> Self {
-        Machine::new_packed_wide(n, n)
+    /// Creates a square `n x n` machine on the packed backend.
+    pub fn packed_square(n: usize) -> Self {
+        Machine::new_packed(n, n)
     }
 }
 
@@ -960,7 +814,6 @@ impl<W: Word> Machine<PackedBackend<W>> {
 mod tests {
     use super::*;
     use crate::isa::ScalarBackend;
-    use crate::word::W256;
 
     fn plane_of(dim: Dim, f: impl FnMut(usize) -> bool) -> Plane<bool> {
         Plane::from_vec(dim, (0..dim.len()).map(f).collect())
@@ -970,19 +823,7 @@ mod tests {
     fn pack_roundtrip_preserves_bits() {
         let dim = Dim::new(5, 13); // 65 PEs: crosses a word boundary
         let plane = plane_of(dim, |i| i % 3 == 0 || i == 64);
-        let mut be = PackedBackend::<W64>::new();
-        let mask = be.mask_from_plane(dim, &plane);
-        assert_eq!(mask.count(), plane.count_true());
-        assert_eq!(be.mask_to_plane(dim, &mask), plane);
-    }
-
-    #[test]
-    fn pack_roundtrip_preserves_bits_w256() {
-        // 300 PEs: crosses a 256-bit word boundary, with a partial
-        // trailing word (300 % 256 = 44 live bits in the last word).
-        let dim = Dim::new(15, 20);
-        let plane = plane_of(dim, |i| i % 3 == 0 || i == 255 || i == 256 || i == 299);
-        let mut be = PackedBackend::<W256>::new();
+        let mut be = PackedBackend::new();
         let mask = be.mask_from_plane(dim, &plane);
         assert_eq!(mask.count(), plane.count_true());
         assert_eq!(be.mask_to_plane(dim, &mask), plane);
@@ -991,124 +832,74 @@ mod tests {
     #[test]
     fn filled_mask_trims_trailing_bits() {
         let dim = Dim::new(3, 3);
-        let mut be = PackedBackend::<W64>::new();
+        let mut be = PackedBackend::new();
         let mask = be.mask_filled(dim, true);
         assert_eq!(mask.count(), 9);
         assert_eq!(mask.words[0], 0x1ff);
     }
 
     #[test]
-    fn filled_mask_trims_partial_trailing_word_w256() {
-        // Trailing-word trim at each sub-word (limb) offset of the 256-bit
-        // word: dims whose `len % 256` falls in limb 0, 1, 2 and 3.
-        for (rows, cols) in [(1, 300), (1, 320), (1, 400), (1, 450), (2, 256)] {
-            let dim = Dim::new(rows, cols);
-            let mut be = PackedBackend::<W256>::new();
-            let mask = be.mask_filled(dim, true);
-            assert_eq!(mask.count(), dim.len(), "dim {dim:?}");
-            for i in 0..dim.len() {
-                assert!(mask.bit(i));
-            }
-            // Nothing past the live region in the last word.
-            let last = *mask.words.last().unwrap();
-            let rem = dim.len() % 256;
-            if rem != 0 {
-                assert_eq!(last & !W256::low_mask(rem), W256::zero(), "dim {dim:?}");
-            }
-        }
-    }
-
-    #[test]
-    fn range_ops_cover_all_subword_offsets_w256() {
-        // `range_any`/`set_range` with boundaries at all four 64-bit limb
-        // offsets inside a 256-bit word, plus straddles and a full span.
-        let nwords = 3; // 768 bits
+    fn range_ops_cover_word_straddles() {
+        // `range_any`/`set_range` with boundaries at and across the 64-bit
+        // word boundaries of a 192-bit set, plus a full span.
+        let bits = 192;
         for (s, e) in [
             (0, 64),
             (64, 128),
-            (128, 192),
-            (192, 256),
             (60, 70),
-            (120, 200),
-            (250, 300), // straddles the word boundary
-            (255, 257), // one bit each side of the boundary
-            (500, 768), // runs to the very end
-            (0, 768),   // everything
-            (300, 300), // empty
+            (63, 65),
+            (100, 192),
+            (0, 192),
+            (70, 70),
         ] {
-            let mut words = vec![W256::zero(); nwords];
+            let mut words = vec![0u64; bits / 64];
             set_range(&mut words, s, e);
-            let mut count = 0;
-            for w in &words {
-                count += w.count_ones();
-            }
-            assert_eq!(count, e - s, "set_range {s}..{e}");
-            for probe in 0..768 {
+            let count: u32 = words.iter().map(|w| w.count_ones()).sum();
+            assert_eq!(count as usize, e - s, "set_range {s}..{e}");
+            for probe in 0..bits {
                 let hit = range_any(&words, probe, probe + 1);
                 assert_eq!(hit, (s..e).contains(&probe), "range {s}..{e} probe {probe}");
             }
-            // range_any over the exact range, just outside it, and empty.
             assert_eq!(range_any(&words, s, e), s != e);
-            if s > 0 {
-                assert!(!range_any(&words, 0, s), "prefix clean {s}..{e}");
-            }
-            if e < 768 {
-                assert!(!range_any(&words, e, 768), "suffix clean {s}..{e}");
-            }
+            assert!(s == 0 || !range_any(&words, 0, s), "prefix clean {s}..{e}");
+            assert!(
+                e == bits || !range_any(&words, e, bits),
+                "suffix clean {s}..{e}"
+            );
         }
     }
 
     #[test]
     fn packed_bus_or_matches_scalar_reference() {
-        let dim = Dim::square(9);
-        let mut packed = PackedBackend::<W64>::new();
+        // 9x9 and 21x21: row segments and column key walks straddle words.
+        let mut packed = PackedBackend::new();
         let mut scalar = ScalarBackend;
-        for (seed, dir) in [(3usize, Direction::East), (7, Direction::South)] {
-            let open = plane_of(dim, |i| (i * seed + 1) % 4 == 0);
-            let vals = plane_of(dim, |i| (i * seed) % 5 == 0);
-            let pm = packed.mask_from_plane(dim, &open);
-            let pv = packed.mask_from_plane(dim, &vals);
-            let got = packed
-                .mask_bus_or(ExecMode::Sequential, dim, &pv, dir, &pm)
-                .unwrap();
-            let want = scalar
-                .mask_bus_or(ExecMode::Sequential, dim, &vals, dir, &open)
-                .unwrap();
-            assert_eq!(packed.mask_to_plane(dim, &got), want, "dir {dir:?}");
+        for dim in [Dim::square(9), Dim::square(21)] {
+            for (seed, dir) in [
+                (3usize, Direction::East),
+                (7, Direction::South),
+                (11, Direction::West),
+                (5, Direction::North),
+            ] {
+                let open = plane_of(dim, |i| (i * seed + 1) % 4 == 0);
+                let vals = plane_of(dim, |i| (i * seed) % 5 == 0);
+                let pm = packed.mask_from_plane(dim, &open);
+                let pv = packed.mask_from_plane(dim, &vals);
+                let got = packed
+                    .mask_bus_or(ExecMode::Sequential, dim, &pv, dir, &pm)
+                    .unwrap();
+                let want = scalar
+                    .mask_bus_or(ExecMode::Sequential, dim, &vals, dir, &open)
+                    .unwrap();
+                assert_eq!(packed.mask_to_plane(dim, &got), want, "{dim} {dir:?}");
+            }
         }
     }
 
     #[test]
-    fn packed_bus_or_matches_scalar_reference_w256() {
-        // 21x21 = 441 PEs: row segments and column key walks both straddle
-        // the 256-bit word boundary.
-        let dim = Dim::square(21);
-        let mut packed = PackedBackend::<W256>::new();
-        let mut scalar = ScalarBackend;
-        for (seed, dir) in [
-            (3usize, Direction::East),
-            (7, Direction::South),
-            (11, Direction::West),
-            (5, Direction::North),
-        ] {
-            let open = plane_of(dim, |i| (i * seed + 1) % 4 == 0);
-            let vals = plane_of(dim, |i| (i * seed) % 5 == 0);
-            let pm = packed.mask_from_plane(dim, &open);
-            let pv = packed.mask_from_plane(dim, &vals);
-            let got = packed
-                .mask_bus_or(ExecMode::Sequential, dim, &pv, dir, &pm)
-                .unwrap();
-            let want = scalar
-                .mask_bus_or(ExecMode::Sequential, dim, &vals, dir, &open)
-                .unwrap();
-            assert_eq!(packed.mask_to_plane(dim, &got), want, "dir {dir:?}");
-        }
-    }
-
-    #[test]
-    fn vote_and_knockout_match_scalar_at_w256() {
-        let dim = Dim::new(9, 31); // 279 PEs: straddles the 256-bit boundary
-        let mut packed = PackedBackend::<W256>::new();
+    fn vote_and_knockout_match_scalar() {
+        let dim = Dim::new(9, 31); // 279 PEs: four full words and a partial one
+        let mut packed = PackedBackend::new();
         let mut scalar = ScalarBackend;
         let enable = plane_of(dim, |i| i % 2 == 0);
         let present = plane_of(dim, |i| i % 3 != 0);
@@ -1118,13 +909,13 @@ mod tests {
             packed.mask_from_plane(dim, &present),
             packed.mask_from_plane(dim, &bit),
         );
+        let seq = ExecMode::Sequential;
         for keep_low in [true, false] {
-            let got = packed.vote(ExecMode::Sequential, dim, &pe, &pb, keep_low);
-            let want = scalar.vote(ExecMode::Sequential, dim, &enable, &bit, keep_low);
+            let got = packed.vote(seq, dim, &pe, &pb, keep_low);
+            let want = scalar.vote(seq, dim, &enable, &bit, keep_low);
             assert_eq!(packed.mask_to_plane(dim, &got), want, "vote {keep_low}");
-            let got = packed.knockout(ExecMode::Sequential, dim, &pe, &pp, &pb, keep_low);
-            let want =
-                scalar.knockout(ExecMode::Sequential, dim, &enable, &present, &bit, keep_low);
+            let got = packed.knockout(seq, dim, &pe, &pp, &pb, keep_low);
+            let want = scalar.knockout(seq, dim, &enable, &present, &bit, keep_low);
             assert_eq!(packed.mask_to_plane(dim, &got), want, "knockout {keep_low}");
         }
     }
@@ -1132,7 +923,7 @@ mod tests {
     #[test]
     fn plan_cache_hits_on_repeated_configurations() {
         let dim = Dim::square(8);
-        let mut be = PackedBackend::<W64>::new();
+        let mut be = PackedBackend::new();
         let open = be.mask_from_plane(dim, &plane_of(dim, |i| i % 8 == 0));
         let values = be.mask_from_plane(dim, &plane_of(dim, |i| i % 5 == 0));
         for _ in 0..5 {
@@ -1148,7 +939,7 @@ mod tests {
     #[test]
     fn broadcasts_never_consult_the_plan_cache() {
         let dim = Dim::square(8);
-        let mut be = PackedBackend::<W64>::new();
+        let mut be = PackedBackend::new();
         let open = plane_of(dim, |i| i % 9 == 0); // the diagonal
         let mask = be.mask_from_plane(dim, &open);
         let src = Plane::from_vec(dim, (0..dim.len() as i64).collect());
@@ -1171,11 +962,12 @@ mod tests {
         z ^ (z >> 31)
     }
 
-    /// Dims whose rows, columns or totals straddle 64- and 256-bit words.
+    /// Dims whose rows, columns or totals straddle 64-bit words.
     const STRADDLING_DIMS: [(usize, usize); 5] = [(5, 13), (9, 31), (1, 65), (65, 1), (21, 21)];
 
-    fn broadcast_matches_reference<W: Word>() {
-        let mut be = PackedBackend::<W>::new();
+    #[test]
+    fn broadcast_matches_bus_reference_at_w64() {
+        let mut be = PackedBackend::new();
         let mut rng = 7u64;
         for (rows, cols) in STRADDLING_DIMS {
             let dim = Dim::new(rows, cols);
@@ -1195,7 +987,7 @@ mod tests {
                     let mask = be.mask_from_plane(dim, &open);
                     for dir in Direction::ALL {
                         let seq = ExecMode::Sequential;
-                        let want = bus::broadcast(seq, dim, &src, dir, &open);
+                        let want = bus::broadcast(dim, &src, dir, &open);
                         let ctx = format!("{dim} density {density} {dir:?} open {open:?}");
                         assert_eq!(be.broadcast(seq, dim, &src, dir, &open), want, "{ctx}");
                         assert_eq!(
@@ -1203,7 +995,7 @@ mod tests {
                             want,
                             "{ctx}"
                         );
-                        let want = bus::broadcast(seq, dim, &flags, dir, &open);
+                        let want = bus::broadcast(dim, &flags, dir, &open);
                         assert_eq!(be.broadcast(seq, dim, &flags, dir, &open), want, "{ctx}");
                         assert_eq!(
                             be.broadcast_masked(seq, dim, &flags, dir, &mask),
@@ -1217,19 +1009,9 @@ mod tests {
     }
 
     #[test]
-    fn broadcast_matches_bus_reference_at_w64() {
-        broadcast_matches_reference::<W64>();
-    }
-
-    #[test]
-    fn broadcast_matches_bus_reference_at_w256() {
-        broadcast_matches_reference::<W256>();
-    }
-
-    #[test]
     fn broadcast_rejects_mismatched_planes() {
         let dim = Dim::square(4);
-        let mut be = PackedBackend::<W64>::new();
+        let mut be = PackedBackend::new();
         let src = Plane::filled(Dim::square(3), 1i64);
         let open = plane_of(dim, |_| true);
         let mask = be.mask_from_plane(dim, &open);
@@ -1250,8 +1032,9 @@ mod tests {
         src.map_free(|&x| (x >> j) & 1 == 1)
     }
 
-    fn bit_slices_match_reference<W: Word>() {
-        let mut be = PackedBackend::<W>::new();
+    #[test]
+    fn bit_slices_match_per_bit_extraction_at_w64() {
+        let mut be = PackedBackend::new();
         let mut rng = 11u64;
         for (rows, cols) in STRADDLING_DIMS {
             let dim = Dim::new(rows, cols);
@@ -1275,18 +1058,8 @@ mod tests {
         }
     }
 
-    #[test]
-    fn bit_slices_match_per_bit_extraction_at_w64() {
-        bit_slices_match_reference::<W64>();
-    }
-
-    #[test]
-    fn bit_slices_match_per_bit_extraction_at_w256() {
-        bit_slices_match_reference::<W256>();
-    }
-
     /// `bit_plane` for every bit, unpacked.
-    fn all_bits<W: Word>(be: &mut PackedBackend<W>, src: &Plane<i64>) -> Vec<Plane<bool>> {
+    fn all_bits(be: &mut PackedBackend, src: &Plane<i64>) -> Vec<Plane<bool>> {
         let dim = src.dim();
         (0..12)
             .map(|j| {
@@ -1300,14 +1073,14 @@ mod tests {
         (0..12).map(|j| reference_bit_plane(src, j)).collect()
     }
 
-    fn memoized<W: Word>(be: &PackedBackend<W>, src: &Plane<i64>) -> bool {
+    fn memoized(be: &PackedBackend, src: &Plane<i64>) -> bool {
         be.slices.iter().any(|e| e.holds(src.dim(), &src.shared()))
     }
 
     #[test]
     fn slice_memo_misses_after_an_edit_in_place() {
         let dim = Dim::new(5, 13);
-        let mut be = PackedBackend::<W64>::new();
+        let mut be = PackedBackend::new();
         let mut p = Plane::from_vec(dim, (0..dim.len() as i64).collect());
         assert_eq!(all_bits(&mut be, &p), reference_bits(&p));
         assert!(memoized(&be, &p));
@@ -1324,7 +1097,7 @@ mod tests {
     #[test]
     fn slice_memo_misses_after_a_clone_is_edited() {
         let dim = Dim::new(9, 31);
-        let mut be = PackedBackend::<W256>::new();
+        let mut be = PackedBackend::new();
         let p = Plane::from_vec(dim, (0..dim.len() as i64).map(|x| x * 3).collect());
         let mut q = p.clone();
         assert_eq!(all_bits(&mut be, &p), reference_bits(&p));
@@ -1339,7 +1112,7 @@ mod tests {
     #[test]
     fn slice_memo_follows_alternating_sources() {
         let dim = Dim::square(21);
-        let mut be = PackedBackend::<W64>::new();
+        let mut be = PackedBackend::new();
         let sources: Vec<Plane<i64>> = (0..3)
             .map(|k| Plane::from_vec(dim, (0..dim.len() as i64).map(|x| x * (k + 1)).collect()))
             .collect();
@@ -1361,7 +1134,7 @@ mod tests {
     #[test]
     fn slice_memo_is_keyed_by_dimension() {
         let (wide, square) = (Dim::new(1, 65), Dim::new(5, 13));
-        let mut be = PackedBackend::<W256>::new();
+        let mut be = PackedBackend::new();
         let a = Plane::from_vec(wide, (0..65).map(|x| x * 5).collect());
         let b = Plane::from_vec(square, (0..65).map(|x| x * 7).collect());
         for _ in 0..2 {
@@ -1377,26 +1150,9 @@ mod tests {
     }
 
     #[test]
-    fn fingerprints_are_width_keyed() {
-        // The same mask content packed at different widths must produce
-        // different plan fingerprints: a plan computed for W64 words can
-        // never be replayed against W256 masks.
-        let dim = Dim::square(8);
-        let plane = plane_of(dim, |i| i % 8 == 0);
-        let mut w64 = vec![W64::zero(); words_for::<W64>(dim)];
-        pack_range(plane.as_slice(), 0, &mut w64);
-        let mut w256 = vec![W256::zero(); words_for::<W256>(dim)];
-        pack_range(plane.as_slice(), 0, &mut w256);
-        assert_ne!(
-            fingerprint(Direction::East, &w64),
-            fingerprint(Direction::East, &w256),
-        );
-    }
-
-    #[test]
     fn arena_recycles_mask_buffers() {
         let dim = Dim::square(16);
-        let mut be = PackedBackend::<W64>::new();
+        let mut be = PackedBackend::new();
         for _ in 0..10 {
             let m = be.mask_filled(dim, true);
             drop(m);
@@ -1409,7 +1165,7 @@ mod tests {
     #[test]
     fn driverless_broadcast_faults_like_scalar() {
         let dim = Dim::square(4);
-        let mut be = PackedBackend::<W64>::new();
+        let mut be = PackedBackend::new();
         let open = plane_of(dim, |_| false);
         let mask = be.mask_from_plane(dim, &open);
         let src = Plane::filled(dim, 1i64);
@@ -1429,8 +1185,8 @@ mod tests {
         let dim = Dim::square(6);
         let enable = plane_of(dim, |i| i % 2 == 0);
         let bit = plane_of(dim, |i| i % 3 == 0);
-        let mut clean = PackedBackend::<W256>::new();
-        let mut drilled = PackedBackend::<W256>::with_perturbed_vote();
+        let mut clean = PackedBackend::new();
+        let mut drilled = PackedBackend::with_perturbed_vote();
         let (ce, cb) = (
             clean.mask_from_plane(dim, &enable),
             clean.mask_from_plane(dim, &bit),

@@ -14,9 +14,9 @@ use std::sync::Arc;
 /// A dense plane of values, one per PE, stored row-major.
 ///
 /// Storage is shared copy-on-write: cloning a plane is an `Arc` bump (the
-/// backends lean on this — the threaded backend ships plane data to its
-/// persistent workers without copying), and the mutating helpers
-/// ([`Plane::set`], [`Plane::as_mut_slice`]) unshare the buffer first.
+/// packed backend's bit-slice memo keys on this shared storage), and the
+/// mutating helpers ([`Plane::set`], [`Plane::as_mut_slice`]) unshare the
+/// buffer first.
 #[derive(PartialEq, Eq)]
 pub struct Plane<T> {
     dim: Dim,

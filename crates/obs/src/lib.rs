@@ -10,7 +10,7 @@
 //! * [`metrics`] — a counter/histogram registry snapshotable to JSON and
 //!   parseable back (exact round-trip);
 //! * [`profile`] — wall-clock phase profiles that reconcile host time
-//!   against simulated steps, plus engine-level thread-chunk timings;
+//!   against simulated steps, plus per-micro-op-class wall time;
 //! * [`json`] — the one JSON implementation behind all artifacts;
 //! * [`recorder::Recorder`] — the emitter bundle used by the baseline
 //!   architecture models so PPA, hypercube, GCN, and plain-mesh runs all
@@ -31,7 +31,7 @@ pub mod trace;
 
 pub use json::{Json, JsonError};
 pub use metrics::{Histogram, Metrics};
-pub use profile::{parse_folded, ClassWall, EngineProfile, MicroProfile, PhaseWall, WallProfile};
+pub use profile::{parse_folded, ClassWall, MicroProfile, PhaseWall, WallProfile};
 pub use recorder::Recorder;
 pub use sampling::OccupancySampling;
 pub use trace::{

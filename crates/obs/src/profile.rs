@@ -4,7 +4,7 @@
 //! The step counters answer "how long would the PPA take"; these types
 //! answer "where did the *simulator* spend host time", so a slow phase can
 //! be attributed either to genuinely many simulated steps or to expensive
-//! per-step host work (large planes, thread spawn overhead).
+//! per-step host work (large planes, uncached bus plans).
 
 use crate::json::Json;
 use crate::metrics::Metrics;
@@ -93,44 +93,6 @@ impl WallProfile {
     }
 }
 
-/// Aggregate wall-clock statistics of the execution engine's per-PE loops,
-/// filled in by `ppa-machine::engine` when profiling is enabled.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct EngineProfile {
-    /// `build` invocations (one per elementwise instruction).
-    pub build_calls: u64,
-    /// `reduce` invocations (one per global-OR style reduction).
-    pub reduce_calls: u64,
-    /// Host nanoseconds spent in sequentially executed calls.
-    pub sequential_nanos: u64,
-    /// Host nanoseconds spent in thread-chunked calls (whole-call span).
-    pub threaded_nanos: u64,
-    /// Host nanoseconds spent inside worker chunks, indexed by worker slot
-    /// (reveals chunk imbalance across threads).
-    pub per_thread_nanos: Vec<u64>,
-}
-
-impl EngineProfile {
-    /// Total engine invocations.
-    pub fn calls(&self) -> u64 {
-        self.build_calls + self.reduce_calls
-    }
-
-    /// Serializes the profile to JSON.
-    pub fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("build_calls", self.build_calls.into()),
-            ("reduce_calls", self.reduce_calls.into()),
-            ("sequential_nanos", self.sequential_nanos.into()),
-            ("threaded_nanos", self.threaded_nanos.into()),
-            (
-                "per_thread_nanos",
-                Json::Array(self.per_thread_nanos.iter().map(|&n| n.into()).collect()),
-            ),
-        ])
-    }
-}
-
 /// Wall-clock and invocation tally of one micro-op class.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ClassWall {
@@ -147,7 +109,7 @@ pub struct ClassWall {
 /// instruction's class label (`"alu"`, `"shift"`, ...), so each class's
 /// `count` reconciles 1:1 with the controller's `steps.<class>` counters.
 /// The profile identifies which backend executed (`"scalar"`, `"packed"`,
-/// `"threaded"`), emits into a [`Metrics`] registry as
+/// or any custom executor's name), emits into a [`Metrics`] registry as
 /// `exec.<backend>.<class>.ns` / `.count`, and renders as
 /// `inferno`-compatible folded-stack lines for flamegraphs.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -317,17 +279,6 @@ mod tests {
     }
 
     #[test]
-    fn engine_profile_counts() {
-        let e = EngineProfile {
-            build_calls: 3,
-            reduce_calls: 2,
-            ..EngineProfile::default()
-        };
-        assert_eq!(e.calls(), 5);
-        assert!(e.to_json().get("per_thread_nanos").is_some());
-    }
-
-    #[test]
     fn micro_profile_accumulates_per_class() {
         let mut p = MicroProfile::new("packed");
         p.record("alu", 100);
@@ -354,13 +305,13 @@ mod tests {
 
     #[test]
     fn micro_profile_emits_exec_counters() {
-        let mut p = MicroProfile::new("threaded");
+        let mut p = MicroProfile::new("packed");
         p.record("shift", 40);
         p.record("shift", 2);
         let mut m = Metrics::new();
         p.emit(&mut m);
-        assert_eq!(m.counter("exec.threaded.shift.ns"), 42);
-        assert_eq!(m.counter("exec.threaded.shift.count"), 2);
+        assert_eq!(m.counter("exec.packed.shift.ns"), 42);
+        assert_eq!(m.counter("exec.packed.shift.count"), 2);
     }
 
     #[test]

@@ -4,8 +4,8 @@
 use crate::error::PpcError;
 use crate::Result;
 use ppa_machine::{
-    Dim, Direction, ExecMode, ExecStats, Executor, Machine, OccupancySampling, PackedBackend,
-    Plane, ScalarBackend, StepReport, ThreadedBackend, Word,
+    Dim, Direction, ExecStats, Executor, Machine, OccupancySampling, PackedBackend, Plane,
+    ScalarBackend, StepReport,
 };
 
 /// A PPC `parallel` variable: one value per PE.
@@ -41,50 +41,12 @@ impl Ppa<ScalarBackend> {
     pub fn square(n: usize) -> Self {
         Ppa::from_machine(Machine::square(n))
     }
-
-    /// Creates a square runtime with a host execution mode.
-    pub fn square_with_mode(n: usize, mode: ExecMode) -> Self {
-        Ppa::from_machine(Machine::with_mode(Dim::square(n), mode))
-    }
 }
 
 impl Ppa<PackedBackend> {
     /// Creates a square `n x n` runtime on the packed bit-plane backend.
     pub fn packed(n: usize) -> Self {
         Ppa::from_machine(Machine::packed_square(n))
-    }
-
-    /// Creates a packed-backend runtime with a host execution mode.
-    pub fn packed_with_mode(n: usize, mode: ExecMode) -> Self {
-        Ppa::from_machine(Machine::with_backend(
-            Dim::square(n),
-            mode,
-            PackedBackend::new(),
-        ))
-    }
-}
-
-impl Ppa<ThreadedBackend> {
-    /// Creates a square `n x n` runtime on the threaded bit-plane backend
-    /// with a `threads`-shard worker pool.
-    pub fn threaded(n: usize, threads: usize) -> Self {
-        Ppa::from_machine(Machine::threaded_square(n, threads))
-    }
-}
-
-impl<W: Word> Ppa<PackedBackend<W>> {
-    /// Creates a square `n x n` runtime on the packed backend with an
-    /// explicit machine word `W` (e.g. `Ppa::<PackedBackend<W256>>`).
-    pub fn packed_wide(n: usize) -> Self {
-        Ppa::from_machine(Machine::packed_square_wide(n))
-    }
-}
-
-impl<W: Word> Ppa<ThreadedBackend<W>> {
-    /// Creates a square `n x n` runtime on the threaded backend with an
-    /// explicit machine word `W`.
-    pub fn threaded_wide(n: usize, threads: usize) -> Self {
-        Ppa::from_machine(Machine::threaded_square_wide(n, threads))
     }
 }
 

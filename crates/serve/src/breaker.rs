@@ -1,8 +1,7 @@
-//! Per-backend circuit breaker: fast path with scalar fallback.
+//! Circuit breaker: packed fast path with scalar fallback.
 //!
-//! The fast backend — packed by default, threaded when the service is
-//! configured with `prefer_threaded` — shares one plan cache and arena
-//! across every job a worker runs; if it ever misbehaves (a corruption
+//! The packed backend shares one plan cache and arena across every job
+//! a worker runs; if it ever misbehaves (a corruption
 //! burst that survives retries, or a divergence from the scalar
 //! reference), the service must stop routing traffic to it *without*
 //! stopping service. The breaker is the standard three-state machine:
@@ -18,7 +17,7 @@
 //!
 //! While Open (and HalfOpen, until the probe passes) every job runs on
 //! the scalar backend. The probe is *differential*: solve a fixed
-//! reference graph on the fast and scalar backends and compare results
+//! reference graph on the packed and scalar backends and compare results
 //! bit-for-bit —
 //! the same equivalence PR 3's differential suites assert statically,
 //! run here as a live health check. Every transition is recorded by the
@@ -58,7 +57,7 @@ impl Default for BreakerConfig {
     }
 }
 
-/// The circuit breaker guarding the configured fast backend.
+/// The circuit breaker guarding the packed backend.
 #[derive(Debug, Clone)]
 pub struct CircuitBreaker {
     config: BreakerConfig,
@@ -69,7 +68,7 @@ pub struct CircuitBreaker {
 /// What the breaker wants for the next job.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Route {
-    /// Run the job on the configured fast backend (packed or threaded).
+    /// Run the job on the packed backend.
     Packed,
     /// Run the job on the scalar backend.
     Scalar,

@@ -90,28 +90,17 @@ impl JobSpec {
 /// Which backend a job attempt ran on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BackendChoice {
-    /// The packed bit-plane backend (fast path).
+    /// The packed bit-plane backend (fast path, guarded by the circuit
+    /// breaker).
     Packed,
-    /// The threaded bit-plane backend (fast path sharded over a worker
-    /// pool); subject to the same circuit breaker as the packed backend.
-    Threaded,
     /// The scalar reference backend (fallback path).
     Scalar,
-}
-
-impl BackendChoice {
-    /// Whether this is an accelerated (non-reference) backend, i.e. one
-    /// the circuit breaker guards and may downgrade to scalar.
-    pub fn is_fast(self) -> bool {
-        !matches!(self, BackendChoice::Scalar)
-    }
 }
 
 impl fmt::Display for BackendChoice {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             BackendChoice::Packed => write!(f, "packed"),
-            BackendChoice::Threaded => write!(f, "threaded"),
             BackendChoice::Scalar => write!(f, "scalar"),
         }
     }

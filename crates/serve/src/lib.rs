@@ -18,11 +18,10 @@
 //! * **Retries** — corruption-class failures (transient injected faults)
 //!   are retried on a fresh machine with exponential backoff + jitter
 //!   ([`RetryPolicy`]), reusing the recovery layer's failure taxonomy.
-//! * **Circuit breaking** — repeated failures on the fast backend
-//!   (packed by default, threaded when [`ServeConfig::prefer_threaded`]
-//!   is set) trip a [`CircuitBreaker`] that falls back to the scalar
-//!   reference backend and only re-admits fast traffic after a live
-//!   divergence probe passes.
+//! * **Circuit breaking** — repeated failures on the packed backend
+//!   trip a [`CircuitBreaker`] that falls back to the scalar reference
+//!   backend and only re-admits packed traffic after a live divergence
+//!   probe passes.
 //! * **Self-healing** — shortest-path jobs can run lane-replicated
 //!   under DMR/TMR voting ([`ServeConfig::redundancy`]); a background
 //!   scrubber runs six-pattern BIST on idle workers under a duty-cycle

@@ -29,10 +29,7 @@ use crate::job::{BackendChoice, JobKind, JobOutcome, JobReport, JobSpec, ServeEr
 use crate::policy::RetryPolicy;
 use crate::BreakerConfig;
 use ppa_graph::{Weight, WeightMatrix, INF};
-use ppa_machine::{
-    CancelToken, Dim, Executor, FaultMap, Machine, PackedBackend, ThreadedBackend, TransientFaults,
-    WordWidth, W256,
-};
+use ppa_machine::{CancelToken, Dim, Executor, FaultMap, Machine, PackedBackend, TransientFaults};
 use ppa_mcp::batch::replicate;
 use ppa_mcp::widest::{widest_path, WidestOutput};
 use ppa_mcp::{mcp, BatchSession, LaneLimit, McpError, McpOutput, McpSession, Redundancy};
@@ -68,16 +65,6 @@ pub struct ServeConfig {
     /// Route jobs to the packed backend when the breaker allows it;
     /// `false` pins everything to the scalar reference backend.
     pub prefer_packed: bool,
-    /// Route jobs to the threaded backend (takes precedence over
-    /// `prefer_packed`); guarded by the same circuit breaker, so a
-    /// divergence-probe failure downgrades threaded jobs to scalar too.
-    pub prefer_threaded: bool,
-    /// Pool width for threaded-backend attempts (clamped to at least 1).
-    pub threads: usize,
-    /// Machine-word width for the fast (packed/threaded) backends: 64
-    /// PEs per word (`u64`, the default) or 256 (SWAR `W256`). Scalar
-    /// attempts ignore this — the reference backend has no word.
-    pub word: WordWidth,
     /// Seed for worker-local RNGs (retry jitter). Worker `k` derives its
     /// stream from `seed` and `k`, so runs are reproducible.
     pub seed: u64,
@@ -112,9 +99,6 @@ impl Default for ServeConfig {
             retry: RetryPolicy::default(),
             breaker: BreakerConfig::default(),
             prefer_packed: true,
-            prefer_threaded: false,
-            threads: 2,
-            word: WordWidth::W64,
             seed: 0x5eed,
             batching: BatchingConfig::default(),
             redundancy: Redundancy::Off,
@@ -1258,25 +1242,10 @@ fn run_batch(
                 config.redundancy,
             )
         } else {
-            match (backend, config.word) {
-                (BackendChoice::Packed, WordWidth::W64) => BatchSession::new_packed(&graphs)
+            match backend {
+                BackendChoice::Packed => BatchSession::new_packed(&graphs)
                     .and_then(|mut b| b.solve_verified_with(&dests, &limits)),
-                (BackendChoice::Packed, WordWidth::W256) => {
-                    BatchSession::<PackedBackend<W256>>::new_packed_wide(&graphs)
-                        .and_then(|mut b| b.solve_verified_with(&dests, &limits))
-                }
-                (BackendChoice::Threaded, WordWidth::W64) => {
-                    BatchSession::new_threaded(&graphs, config.threads.max(1))
-                        .and_then(|mut b| b.solve_verified_with(&dests, &limits))
-                }
-                (BackendChoice::Threaded, WordWidth::W256) => {
-                    BatchSession::<ThreadedBackend<W256>>::new_threaded_wide(
-                        &graphs,
-                        config.threads.max(1),
-                    )
-                    .and_then(|mut b| b.solve_verified_with(&dests, &limits))
-                }
-                (BackendChoice::Scalar, _) => BatchSession::new(&graphs)
+                BackendChoice::Scalar => BatchSession::new(&graphs)
                     .and_then(|mut b| b.solve_verified_with(&dests, &limits)),
             }
         };
@@ -1285,7 +1254,7 @@ fn run_batch(
                 // A machine-global failure takes down every lane at once;
                 // rather than inventing per-lane results, each job re-runs
                 // on the solo path with its full retry/breaker treatment.
-                if backend.is_fast() && lock(&shared.breaker).record_failure() {
+                if backend == BackendChoice::Packed && lock(&shared.breaker).record_failure() {
                     lock(&shared.metrics).inc("serve.breaker.trips", 1);
                 }
                 lock(&shared.metrics).inc("serve.batch.fallback_single", live.len() as u64);
@@ -1334,7 +1303,9 @@ fn run_batch(
                             )
                         }
                         Err(e) if e.indicates_corruption() => {
-                            if backend.is_fast() && lock(&shared.breaker).record_failure() {
+                            if backend == BackendChoice::Packed
+                                && lock(&shared.breaker).record_failure()
+                            {
                                 lock(&shared.metrics).inc("serve.breaker.trips", 1);
                             }
                             lock(&shared.metrics).inc("serve.batch.fallback_single", 1);
@@ -1352,7 +1323,7 @@ fn run_batch(
                     };
                     reports[i] = Some(report);
                 }
-                if fast_success && backend.is_fast() {
+                if fast_success && backend == BackendChoice::Packed {
                     lock(&shared.breaker).record_success();
                 }
             }
@@ -1379,9 +1350,8 @@ fn run_redundant_batch(
     mode: Redundancy,
 ) -> Result<Vec<Result<McpOutput, McpError>>, McpError> {
     let rep = mode.expand(graphs);
-    let threads = ctx.shared.config.threads.max(1);
-    match (backend, ctx.shared.config.word) {
-        (BackendChoice::Packed, WordWidth::W64) => drive_redundant_wave(
+    match backend {
+        BackendChoice::Packed => drive_redundant_wave(
             ctx,
             index,
             BatchSession::new_packed(&rep)?,
@@ -1389,31 +1359,7 @@ fn run_redundant_batch(
             limits,
             mode,
         ),
-        (BackendChoice::Packed, WordWidth::W256) => drive_redundant_wave(
-            ctx,
-            index,
-            BatchSession::<PackedBackend<W256>>::new_packed_wide(&rep)?,
-            dests,
-            limits,
-            mode,
-        ),
-        (BackendChoice::Threaded, WordWidth::W64) => drive_redundant_wave(
-            ctx,
-            index,
-            BatchSession::new_threaded(&rep, threads)?,
-            dests,
-            limits,
-            mode,
-        ),
-        (BackendChoice::Threaded, WordWidth::W256) => drive_redundant_wave(
-            ctx,
-            index,
-            BatchSession::<ThreadedBackend<W256>>::new_threaded_wide(&rep, threads)?,
-            dests,
-            limits,
-            mode,
-        ),
-        (BackendChoice::Scalar, _) => {
+        BackendChoice::Scalar => {
             drive_redundant_wave(ctx, index, BatchSession::new(&rep)?, dests, limits, mode)
         }
     }
@@ -1620,8 +1566,8 @@ fn run_job(ctx: &WorkerCtx, index: u64, job: QueuedJob, rng: &mut SmallRng) -> J
         } else if redundant_shortest {
             attempt_shortest_redundant(ctx, index, backend, &job.spec, &token, budget, attempts)
         } else {
-            match (backend, config.word) {
-                (BackendChoice::Packed, WordWidth::W64) => attempt_on(
+            match backend {
+                BackendChoice::Packed => attempt_on(
                     ctx,
                     index,
                     Ppa::<PackedBackend>::packed(n).with_word_bits(word_bits),
@@ -1631,39 +1577,7 @@ fn run_job(ctx: &WorkerCtx, index: u64, job: QueuedJob, rng: &mut SmallRng) -> J
                     attempts,
                     &mut last_flush,
                 ),
-                (BackendChoice::Packed, WordWidth::W256) => attempt_on(
-                    ctx,
-                    index,
-                    Ppa::<PackedBackend<W256>>::packed_wide(n).with_word_bits(word_bits),
-                    &job.spec,
-                    &token,
-                    budget,
-                    attempts,
-                    &mut last_flush,
-                ),
-                (BackendChoice::Threaded, WordWidth::W64) => attempt_on(
-                    ctx,
-                    index,
-                    Ppa::<ThreadedBackend>::threaded(n, config.threads.max(1))
-                        .with_word_bits(word_bits),
-                    &job.spec,
-                    &token,
-                    budget,
-                    attempts,
-                    &mut last_flush,
-                ),
-                (BackendChoice::Threaded, WordWidth::W256) => attempt_on(
-                    ctx,
-                    index,
-                    Ppa::<ThreadedBackend<W256>>::threaded_wide(n, config.threads.max(1))
-                        .with_word_bits(word_bits),
-                    &job.spec,
-                    &token,
-                    budget,
-                    attempts,
-                    &mut last_flush,
-                ),
-                (BackendChoice::Scalar, _) => attempt_on(
+                BackendChoice::Scalar => attempt_on(
                     ctx,
                     index,
                     Ppa::square(n).with_word_bits(word_bits),
@@ -1677,7 +1591,7 @@ fn run_job(ctx: &WorkerCtx, index: u64, job: QueuedJob, rng: &mut SmallRng) -> J
         };
         match result {
             Ok(out) => {
-                if backend.is_fast() {
+                if backend == BackendChoice::Packed {
                     lock(&shared.breaker).record_success();
                 }
                 break Ok(out);
@@ -1701,7 +1615,7 @@ fn run_job(ctx: &WorkerCtx, index: u64, job: QueuedJob, rng: &mut SmallRng) -> J
                 if !matches!(e, McpError::VoteDisagreement { .. }) {
                     note_sighting(ctx, index, false);
                 }
-                if backend.is_fast() && lock(&shared.breaker).record_failure() {
+                if backend == BackendChoice::Packed && lock(&shared.breaker).record_failure() {
                     lock(&shared.metrics).inc("serve.breaker.trips", 1);
                 }
                 if attempts <= config.retry.max_retries && !token.is_cancelled() {
@@ -1776,29 +1690,25 @@ fn finish(
 /// running the divergence probe when the breaker is half-open.
 fn route_backend(ctx: &WorkerCtx) -> BackendChoice {
     let config = &ctx.shared.config;
-    let fast = if config.prefer_threaded {
-        BackendChoice::Threaded
-    } else if config.prefer_packed {
-        BackendChoice::Packed
-    } else {
+    if !config.prefer_packed {
         return BackendChoice::Scalar;
-    };
+    }
     let route = lock(&ctx.shared.breaker).route();
     match route {
-        Route::Packed => fast,
+        Route::Packed => BackendChoice::Packed,
         Route::Scalar => {
             lock(&ctx.shared.metrics).inc("serve.breaker.scalar_fallback", 1);
             BackendChoice::Scalar
         }
         Route::ProbeFirst => {
             lock(&ctx.shared.metrics).inc("serve.breaker.probes", 1);
-            let passed = divergence_probe(fast, config.threads.max(1), config.word);
+            let passed = divergence_probe();
             lock(&ctx.shared.breaker).probe_result(passed);
             let mut m = lock(&ctx.shared.metrics);
             if passed {
                 m.inc("serve.breaker.probe_pass", 1);
                 drop(m);
-                fast
+                BackendChoice::Packed
             } else {
                 m.inc("serve.breaker.probe_fail", 1);
                 m.inc("serve.breaker.trips", 1);
@@ -1810,29 +1720,14 @@ fn route_backend(ctx: &WorkerCtx) -> BackendChoice {
     }
 }
 
-/// The half-open health check: solve a fixed reference graph on the fast
-/// backend under probe and on the scalar reference (fresh, clean
+/// The half-open health check: solve a fixed reference graph on the
+/// packed backend under probe and on the scalar reference (fresh, clean
 /// machines) and demand bit-identical results — the differential
-/// equivalence the test suites assert statically, run live before fast
+/// equivalence the test suites assert statically, run live before packed
 /// traffic resumes.
-fn divergence_probe(fast: BackendChoice, threads: usize, word: WordWidth) -> bool {
+fn divergence_probe() -> bool {
     let w = ppa_graph::gen::random_connected(6, 0.5, 9, 0xD1FF);
-    let probed = match (fast, word) {
-        (BackendChoice::Packed, WordWidth::W64) => {
-            McpSession::new_packed(&w).and_then(|mut s| s.solve(0))
-        }
-        (BackendChoice::Packed, WordWidth::W256) => {
-            McpSession::<PackedBackend<W256>>::new_packed_wide(&w).and_then(|mut s| s.solve(0))
-        }
-        (BackendChoice::Threaded, WordWidth::W64) => {
-            McpSession::new_threaded(&w, threads).and_then(|mut s| s.solve(0))
-        }
-        (BackendChoice::Threaded, WordWidth::W256) => {
-            McpSession::<ThreadedBackend<W256>>::new_threaded_wide(&w, threads)
-                .and_then(|mut s| s.solve(0))
-        }
-        (BackendChoice::Scalar, _) => return true,
-    };
+    let probed = McpSession::new_packed(&w).and_then(|mut s| s.solve(0));
     let scalar = McpSession::new(&w).and_then(|mut s| s.solve(0));
     match (probed, scalar) {
         (Ok(a), Ok(b)) => a.sow == b.sow && a.ptn == b.ptn && a.iterations == b.iterations,
@@ -1943,9 +1838,8 @@ fn attempt_shortest_redundant(
         }
     };
     let graphs = replicate(&spec.graph, mode.replicas());
-    let threads = ctx.shared.config.threads.max(1);
-    match (backend, ctx.shared.config.word) {
-        (BackendChoice::Packed, WordWidth::W64) => drive_redundant_solo(
+    match backend {
+        BackendChoice::Packed => drive_redundant_solo(
             ctx,
             index,
             BatchSession::new_packed(&graphs)?,
@@ -1956,40 +1850,7 @@ fn attempt_shortest_redundant(
             attempt,
             mode,
         ),
-        (BackendChoice::Packed, WordWidth::W256) => drive_redundant_solo(
-            ctx,
-            index,
-            BatchSession::<PackedBackend<W256>>::new_packed_wide(&graphs)?,
-            dest,
-            spec,
-            token,
-            budget,
-            attempt,
-            mode,
-        ),
-        (BackendChoice::Threaded, WordWidth::W64) => drive_redundant_solo(
-            ctx,
-            index,
-            BatchSession::new_threaded(&graphs, threads)?,
-            dest,
-            spec,
-            token,
-            budget,
-            attempt,
-            mode,
-        ),
-        (BackendChoice::Threaded, WordWidth::W256) => drive_redundant_solo(
-            ctx,
-            index,
-            BatchSession::<ThreadedBackend<W256>>::new_threaded_wide(&graphs, threads)?,
-            dest,
-            spec,
-            token,
-            budget,
-            attempt,
-            mode,
-        ),
-        (BackendChoice::Scalar, _) => drive_redundant_solo(
+        BackendChoice::Scalar => drive_redundant_solo(
             ctx,
             index,
             BatchSession::new(&graphs)?,
@@ -2134,9 +1995,8 @@ fn attempt_apsp_batched(
     last_flush: &mut Option<Json>,
 ) -> Result<JobOutcome, McpError> {
     let graphs = replicate(&spec.graph, lanes);
-    let threads = ctx.shared.config.threads.max(1);
-    match (backend, ctx.shared.config.word) {
-        (BackendChoice::Packed, WordWidth::W64) => drive_apsp_batch(
+    match backend {
+        BackendChoice::Packed => drive_apsp_batch(
             ctx,
             index,
             BatchSession::new_packed(&graphs)?,
@@ -2145,34 +2005,7 @@ fn attempt_apsp_batched(
             budget,
             last_flush,
         ),
-        (BackendChoice::Packed, WordWidth::W256) => drive_apsp_batch(
-            ctx,
-            index,
-            BatchSession::<PackedBackend<W256>>::new_packed_wide(&graphs)?,
-            spec,
-            token,
-            budget,
-            last_flush,
-        ),
-        (BackendChoice::Threaded, WordWidth::W64) => drive_apsp_batch(
-            ctx,
-            index,
-            BatchSession::new_threaded(&graphs, threads)?,
-            spec,
-            token,
-            budget,
-            last_flush,
-        ),
-        (BackendChoice::Threaded, WordWidth::W256) => drive_apsp_batch(
-            ctx,
-            index,
-            BatchSession::<ThreadedBackend<W256>>::new_threaded_wide(&graphs, threads)?,
-            spec,
-            token,
-            budget,
-            last_flush,
-        ),
-        (BackendChoice::Scalar, _) => drive_apsp_batch(
+        BackendChoice::Scalar => drive_apsp_batch(
             ctx,
             index,
             BatchSession::new(&graphs)?,
@@ -2543,52 +2376,13 @@ mod tests {
         assert_eq!(report.backend, Some(BackendChoice::Scalar));
         // Clean job: half-open -> divergence probe passes -> packed again.
         let clean = svc
-            .submit(JobSpec::new(w, JobKind::Shortest { dest: 0 }))
-            .unwrap()
-            .wait();
-        assert!(clean.outcome.is_ok());
-        assert_eq!(clean.backend, Some(BackendChoice::Packed));
-        assert_eq!(svc.breaker_state(), BreakerState::Closed);
-        let metrics = svc.shutdown();
-        assert_eq!(metrics.counter("serve.breaker.trips"), 1);
-        assert_eq!(metrics.counter("serve.breaker.scalar_fallback"), 1);
-        assert_eq!(metrics.counter("serve.breaker.probes"), 1);
-        assert_eq!(metrics.counter("serve.breaker.probe_pass"), 1);
-    }
-
-    #[test]
-    fn breaker_downgrades_threaded_to_scalar_and_probe_recovers() {
-        let w = gen::random_connected(6, 0.5, 9, 4);
-        let svc = SolveService::start(ServeConfig {
-            workers: 1,
-            prefer_threaded: true,
-            threads: 3,
-            breaker: BreakerConfig {
-                failure_threshold: 2,
-                cooldown_jobs: 1,
-            },
-            ..quick_config()
-        });
-        // Attempts 1+2 fail on the threaded backend (tripping at
-        // threshold 2); attempt 3 routes scalar — the breaker guards the
-        // threaded fast path exactly as it guards packed.
-        let mut faulty = JobSpec::new(w.clone(), JobKind::Shortest { dest: 0 });
-        faulty.transient_faults = Some((1.0, 7));
-        let report = svc.submit(faulty).unwrap().wait();
-        assert!(report.outcome.is_err());
-        assert_eq!(report.backend, Some(BackendChoice::Scalar));
-        assert_ne!(svc.breaker_state(), BreakerState::Closed);
-        // Clean job: half-open -> threaded-vs-scalar divergence probe
-        // passes -> threaded traffic resumes.
-        let clean = svc
             .submit(JobSpec::new(w.clone(), JobKind::Shortest { dest: 0 }))
             .unwrap()
             .wait();
-        assert!(clean.outcome.is_ok());
-        assert_eq!(clean.backend, Some(BackendChoice::Threaded));
+        assert_eq!(clean.backend, Some(BackendChoice::Packed));
         assert_eq!(svc.breaker_state(), BreakerState::Closed);
-        // The threaded answer that came back is the scalar answer: the
-        // soak campaign's silent_wrong: 0 invariant has teeth here too.
+        // The packed answer that came back is the scalar answer: the soak
+        // campaign's silent_wrong: 0 invariant has teeth here too.
         let want = McpSession::new(&w).unwrap().solve_verified(0).unwrap();
         match clean.outcome.unwrap() {
             JobOutcome::Shortest(out) => {
@@ -2600,6 +2394,7 @@ mod tests {
         let metrics = svc.shutdown();
         assert_eq!(metrics.counter("serve.breaker.trips"), 1);
         assert_eq!(metrics.counter("serve.breaker.scalar_fallback"), 1);
+        assert_eq!(metrics.counter("serve.breaker.probes"), 1);
         assert_eq!(metrics.counter("serve.breaker.probe_pass"), 1);
     }
 

@@ -1,8 +1,7 @@
 //! Checkpoint version compatibility: a future (bumped) version field must
 //! surface as a typed resume error — never a panic and never a silent
-//! from-scratch re-run — while a same-version checkpoint resumes
-//! byte-identically, including when the service routes to the threaded
-//! backend.
+//! from-scratch re-run. Same-version resume is covered by the service's
+//! and the soak campaign's byte-identity tests.
 
 use ppa_graph::gen;
 use ppa_serve::{
@@ -71,56 +70,4 @@ fn bumped_checkpoint_version_is_a_typed_error_not_a_rerun() {
         "a bad version must never count as a resume"
     );
     assert_eq!(metrics.counter("serve.worker_panics"), 0);
-}
-
-#[test]
-fn same_version_resume_is_byte_identical_on_the_threaded_backend() {
-    let w = gen::random_connected(6, 0.45, 9, 78);
-    let threaded = ServeConfig {
-        workers: 1,
-        prefer_packed: false,
-        prefer_threaded: true,
-        threads: 3,
-        ..ServeConfig::default()
-    };
-
-    // Reference: uninterrupted campaign, all on the threaded backend.
-    let svc = SolveService::start(threaded.clone());
-    let full = svc
-        .submit(JobSpec::new(w.clone(), apsp(None)))
-        .unwrap()
-        .wait();
-    assert_eq!(format!("{}", full.backend.unwrap()), "threaded");
-    let JobOutcome::Apsp(reference) = full.outcome.unwrap() else {
-        panic!("expected an APSP outcome");
-    };
-
-    // Interrupt a second campaign partway with a step budget.
-    let mut session = ppa_mcp::McpSession::new(&w).unwrap();
-    session.ppa_mut().limit_steps(1_000_000);
-    session.all_pairs().unwrap();
-    let used = 1_000_000 - session.ppa_mut().steps_remaining().unwrap();
-    let mut spec = JobSpec::new(w.clone(), apsp(None));
-    spec.step_budget = Some(used / 2);
-    let interrupted = svc.submit(spec).unwrap().wait();
-    let ServeError::Interrupted { checkpoint, .. } = interrupted.outcome.unwrap_err() else {
-        panic!("half the steps must interrupt mid-campaign");
-    };
-    let progress = ApspCheckpoint::from_json(&checkpoint).unwrap();
-    assert!(progress.next_dest() > 0 && !progress.is_complete());
-    svc.shutdown();
-
-    // A fresh threaded service resumes it to the identical document.
-    let svc = SolveService::start(threaded);
-    let resumed = svc
-        .submit(JobSpec::new(w, apsp(Some(checkpoint))))
-        .unwrap()
-        .wait();
-    assert_eq!(format!("{}", resumed.backend.unwrap()), "threaded");
-    let JobOutcome::Apsp(final_doc) = resumed.outcome.unwrap() else {
-        panic!("resumed campaign must complete");
-    };
-    assert_eq!(final_doc.to_string_compact(), reference.to_string_compact());
-    let metrics = svc.shutdown();
-    assert_eq!(metrics.counter("serve.resumes"), 1);
 }

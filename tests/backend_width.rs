@@ -1,41 +1,26 @@
-//! Width-differential conformance suite for the wide-word backends:
-//! random programs and random graphs must produce identical results AND
-//! identical per-class step reports on the scalar reference, the packed
-//! backend at both word widths (`W64`, `W256`), and the threaded
-//! backend on 256-bit words at every tested thread count {1, 4, 8} —
-//! including runs with injected transient faults, exhausted step
-//! budgets, and cooperative cancellation.
+//! Scalar-vs-packed differential suite on 64-bit words: random programs
+//! and random graphs must produce identical results AND identical
+//! per-class step reports on the scalar reference and the packed
+//! backend — including runs with injected transient faults, exhausted
+//! step budgets, a pre-cancelled token, and lane batches whose `u64`
+//! words straddle lane and row seams.
 //!
 //! The machine word is a host-side representation choice; the simulated
-//! machine must not be able to observe it. Every threaded runtime here
-//! is built with `min_parallel = 0` so even these small arrays go
-//! through the worker pool rendezvous rather than the inline fast path.
+//! machine must not be able to observe it. Budget runs are additionally
+//! checked against the budget itself, not only against each other, so a
+//! budget fault shared by both backends still fails here.
 
 use ppa_graph::gen;
-use ppa_machine::{
-    CancelToken, Dim, Direction, ExecMode, Machine, PackedBackend, ThreadedBackend,
-    TransientFaults, W256,
-};
+use ppa_machine::{CancelToken, Dim, Direction, PackedBackend, TransientFaults};
+use ppa_mcp::batch::replicate;
 use ppa_mcp::mcp::{fit_word_bits, minimum_cost_path};
+use ppa_mcp::{BatchSession, LaneLimit, McpError, McpOutput, McpSession};
 use ppa_ppc::{Parallel, Ppa};
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 
-const THREAD_COUNTS: [usize; 3] = [1, 4, 8];
-
-/// A packed PPC runtime on 256-bit SWAR words.
-fn packed256_ppa(n: usize, h: u32) -> Ppa<PackedBackend<W256>> {
-    Ppa::<PackedBackend<W256>>::packed_wide(n).with_word_bits(h)
-}
-
-/// A threaded 256-bit runtime that always exercises the worker pool.
-fn threaded256_ppa(n: usize, h: u32, threads: usize) -> Ppa<ThreadedBackend<W256>> {
-    Ppa::from_machine(Machine::with_backend(
-        Dim::square(n),
-        ExecMode::Sequential,
-        ThreadedBackend::<W256>::with_min_parallel(threads, 0),
-    ))
-    .with_word_bits(h)
+fn packed_ppa(n: usize, h: u32) -> Ppa<PackedBackend> {
+    Ppa::<PackedBackend>::packed(n).with_word_bits(h)
 }
 
 fn direction() -> impl Strategy<Value = Direction> {
@@ -61,12 +46,30 @@ fn force_driver(dim: Dim, dir: Direction, open: &mut Parallel<bool>) {
     }
 }
 
+/// Asserts two solver outcomes are the same success or the same error.
+fn same_outcome(
+    want: &Result<McpOutput, McpError>,
+    got: &Result<McpOutput, McpError>,
+) -> Result<(), TestCaseError> {
+    match (want, got) {
+        (Ok(a), Ok(b)) => {
+            prop_assert_eq!(&a.sow, &b.sow, "sow diverged");
+            prop_assert_eq!(&a.ptn, &b.ptn, "ptn diverged");
+            prop_assert_eq!(a.iterations, b.iterations, "iterations diverged");
+            prop_assert_eq!(a.stats.total, b.stats.total, "step report diverged");
+        }
+        (Err(a), Err(b)) => prop_assert_eq!(a.to_string(), b.to_string(), "error diverged"),
+        (a, b) => prop_assert!(false, "divergent outcomes: {:?} vs {:?}", a, b),
+    }
+    Ok(())
+}
+
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
+    #![proptest_config(ProptestConfig::with_cases(32))]
 
     #[test]
-    fn collectives_match_scalar_at_both_widths(
-        args in (3usize..=7).prop_flat_map(|n| {
+    fn collectives_match_scalar(
+        args in (3usize..=9).prop_flat_map(|n| {
             (
                 Just(n),
                 proptest::collection::vec(0i64..=255, n * n),
@@ -85,70 +88,29 @@ proptest! {
         force_driver(dim, dir, &mut open);
 
         let mut s = Ppa::square(n).with_word_bits(h);
-        let min_s = s.min(&src, dir, &open).unwrap();
-        let max_s = s.max(&src, dir, &open).unwrap();
-
-        let mut p64 = Ppa::<PackedBackend>::packed(n).with_word_bits(h);
-        prop_assert_eq!(&p64.min(&src, dir, &open).unwrap(), &min_s);
-        prop_assert_eq!(&p64.max(&src, dir, &open).unwrap(), &max_s);
-        prop_assert_eq!(p64.steps(), s.steps());
-
-        let mut p256 = packed256_ppa(n, h);
-        prop_assert_eq!(&p256.min(&src, dir, &open).unwrap(), &min_s, "w256 min diverged");
-        prop_assert_eq!(&p256.max(&src, dir, &open).unwrap(), &max_s, "w256 max diverged");
-        prop_assert_eq!(p256.steps(), s.steps(), "w256 steps diverged");
-
-        for threads in THREAD_COUNTS {
-            let mut t = threaded256_ppa(n, h, threads);
-            prop_assert_eq!(
-                &t.min(&src, dir, &open).unwrap(), &min_s,
-                "w256 min diverged at {} threads", threads
-            );
-            prop_assert_eq!(
-                &t.max(&src, dir, &open).unwrap(), &max_s,
-                "w256 max diverged at {} threads", threads
-            );
-            prop_assert_eq!(t.steps(), s.steps(), "w256 steps diverged at {} threads", threads);
-        }
+        let mut p = packed_ppa(n, h);
+        prop_assert_eq!(p.min(&src, dir, &open).unwrap(), s.min(&src, dir, &open).unwrap());
+        prop_assert_eq!(p.max(&src, dir, &open).unwrap(), s.max(&src, dir, &open).unwrap());
+        prop_assert_eq!(p.steps(), s.steps());
     }
 
     #[test]
-    fn mcp_matches_scalar_at_both_widths(
-        (n, seed) in (4usize..=8, 0u64..1000),
-        dest_pick in 0usize..8,
+    fn mcp_matches_scalar(
+        (n, seed) in (4usize..=10, 0u64..1000),
+        dest_pick in 0usize..10,
     ) {
         let w = gen::random_digraph(n, 0.4, 15, seed);
         let h = fit_word_bits(&w).clamp(2, 62);
         let d = dest_pick % n;
 
         let mut s = Ppa::square(n).with_word_bits(h);
-        let a = minimum_cost_path(&mut s, &w, d).unwrap();
-
-        let mut p64 = Ppa::<PackedBackend>::packed(n).with_word_bits(h);
-        let b = minimum_cost_path(&mut p64, &w, d).unwrap();
-        prop_assert_eq!(&b.sow, &a.sow);
-        prop_assert_eq!(&b.ptn, &a.ptn);
-        prop_assert_eq!(p64.steps(), s.steps());
-
-        let mut p256 = packed256_ppa(n, h);
-        let c = minimum_cost_path(&mut p256, &w, d).unwrap();
-        prop_assert_eq!(&c.sow, &a.sow, "w256 sow diverged");
-        prop_assert_eq!(&c.ptn, &a.ptn, "w256 ptn diverged");
-        prop_assert_eq!(c.iterations, a.iterations);
-        prop_assert_eq!(p256.steps(), s.steps(), "w256 steps diverged");
-
-        for threads in THREAD_COUNTS {
-            let mut t = threaded256_ppa(n, h, threads);
-            let e = minimum_cost_path(&mut t, &w, d).unwrap();
-            prop_assert_eq!(&e.sow, &a.sow, "w256 sow diverged at {} threads", threads);
-            prop_assert_eq!(&e.ptn, &a.ptn, "w256 ptn diverged at {} threads", threads);
-            prop_assert_eq!(e.iterations, a.iterations);
-            prop_assert_eq!(t.steps(), s.steps(), "w256 steps diverged at {} threads", threads);
-        }
+        let mut p = packed_ppa(n, h);
+        same_outcome(&minimum_cost_path(&mut s, &w, d), &minimum_cost_path(&mut p, &w, d))?;
+        prop_assert_eq!(p.steps(), s.steps());
     }
 
     #[test]
-    fn transient_faults_land_identically_at_both_widths(
+    fn transient_faults_land_identically(
         seed in 0u64..500,
         p_fault in prop_oneof![Just(0.002f64), Just(0.01), Just(1.0)],
     ) {
@@ -156,52 +118,22 @@ proptest! {
         let w = gen::random_connected(n, 0.45, 9, seed);
         let h = fit_word_bits(&w).clamp(2, 62);
 
+        // Fault routing lives on the issue side, so the corrupted run —
+        // success or failure — must be bit-identical on both backends.
         let mut s = Ppa::square(n).with_word_bits(h);
         s.machine_mut()
             .attach_transient_faults(TransientFaults::new(p_fault, seed));
-        let want = minimum_cost_path(&mut s, &w, 0);
-
-        // Fault routing lives on the issue side, so the corrupted run —
-        // success or failure — must be bit-identical at every width.
-        let check = |got: Result<ppa_mcp::McpOutput, ppa_mcp::McpError>,
-                         label: &str|
-         -> Result<(), TestCaseError> {
-            match (&want, &got) {
-                (Ok(a), Ok(b)) => {
-                    prop_assert_eq!(&a.sow, &b.sow, "faulty sow diverged on {}", label);
-                    prop_assert_eq!(&a.ptn, &b.ptn, "faulty ptn diverged on {}", label);
-                }
-                (Err(a), Err(b)) => prop_assert_eq!(
-                    a.to_string(), b.to_string(),
-                    "faulty error diverged on {}", label
-                ),
-                (a, b) => prop_assert!(
-                    false,
-                    "divergent fault outcome on {}: {:?} vs {:?}", label, a, b
-                ),
-            }
-            Ok(())
-        };
-
-        let mut p256 = packed256_ppa(n, h);
-        p256.machine_mut()
+        let mut p = packed_ppa(n, h);
+        p.machine_mut()
             .attach_transient_faults(TransientFaults::new(p_fault, seed));
-        check(minimum_cost_path(&mut p256, &w, 0), "packed256")?;
-        prop_assert_eq!(p256.steps(), s.steps());
-
-        for threads in THREAD_COUNTS {
-            let mut t = threaded256_ppa(n, h, threads);
-            t.machine_mut()
-                .attach_transient_faults(TransientFaults::new(p_fault, seed));
-            check(minimum_cost_path(&mut t, &w, 0), &format!("threaded256 x{threads}"))?;
-            prop_assert_eq!(t.steps(), s.steps());
-        }
+        same_outcome(&minimum_cost_path(&mut s, &w, 0), &minimum_cost_path(&mut p, &w, 0))?;
+        prop_assert_eq!(p.steps(), s.steps());
     }
 
     #[test]
-    fn step_budgets_exhaust_on_the_same_step_at_both_widths(
+    fn step_budgets_exhaust_on_the_same_step(
         seed in 0u64..200,
-        budget in 5u64..400,
+        budget in 3u64..400,
     ) {
         let n = 6;
         let w = gen::random_connected(n, 0.45, 9, seed);
@@ -210,118 +142,89 @@ proptest! {
         let mut s = Ppa::square(n).with_word_bits(h);
         s.limit_steps(budget);
         let want = minimum_cost_path(&mut s, &w, 0);
-        let want_left = s.steps_remaining();
+        let mut p = packed_ppa(n, h);
+        p.limit_steps(budget);
+        let got = minimum_cost_path(&mut p, &w, 0);
+        same_outcome(&want, &got)?;
+        prop_assert_eq!(p.steps(), s.steps());
 
-        let check = |got: Result<ppa_mcp::McpOutput, ppa_mcp::McpError>,
-                         label: &str|
-         -> Result<(), TestCaseError> {
-            match (&want, &got) {
-                (Ok(a), Ok(b)) => {
-                    prop_assert_eq!(&a.sow, &b.sow, "sow diverged on {}", label);
-                    prop_assert_eq!(&a.ptn, &b.ptn, "ptn diverged on {}", label);
-                }
-                (Err(a), Err(b)) => prop_assert_eq!(
-                    a.to_string(), b.to_string(),
-                    "budget error diverged on {}", label
-                ),
-                (a, b) => prop_assert!(
-                    false,
-                    "divergent budget outcome on {}: {:?} vs {:?}", label, a, b
-                ),
+        // The budget is checked before every fallible instruction, so a
+        // run stops on the first fallible instruction issued with the
+        // budget spent (infallible ones may run past it), and a run that
+        // finishes could not have finished one step sooner. Both are
+        // fixed points a re-run with the spent count as budget must hit.
+        let spent = p.steps().total();
+        let rerun = |b: u64| {
+            let mut q = packed_ppa(n, h);
+            q.limit_steps(b);
+            let ok = minimum_cost_path(&mut q, &w, 0).is_ok();
+            (ok, q.steps().total())
+        };
+        match &got {
+            Err(e) => {
+                prop_assert!(e.is_step_budget_exhausted(), "wrong error class {:?}", e);
+                prop_assert!(spent >= budget, "stopped {} steps early", budget - spent);
+                prop_assert_eq!(rerun(spent), (false, spent), "exhaustion overshot");
             }
-            Ok(())
-        };
-
-        // Exhaustion lands on the same controller step: the budget left
-        // over must agree exactly, not just the error kind.
-        let mut p256 = packed256_ppa(n, h);
-        p256.limit_steps(budget);
-        check(minimum_cost_path(&mut p256, &w, 0), "packed256")?;
-        prop_assert_eq!(p256.steps_remaining(), want_left, "packed256 budget drift");
-        prop_assert_eq!(p256.steps(), s.steps());
-
-        for threads in THREAD_COUNTS {
-            let mut t = threaded256_ppa(n, h, threads);
-            t.limit_steps(budget);
-            check(minimum_cost_path(&mut t, &w, 0), &format!("threaded256 x{threads}"))?;
-            prop_assert_eq!(t.steps_remaining(), want_left, "at {} threads", threads);
-            prop_assert_eq!(t.steps(), s.steps());
+            Ok(_) => {
+                prop_assert!(spent <= budget, "finished {} steps over", spent - budget);
+                prop_assert!(!rerun(spent - 1).0, "finished on a budget one step short");
+            }
         }
-    }
-
-    #[test]
-    fn cancellation_fires_on_the_same_step_at_both_widths(
-        seed in 0u64..200,
-    ) {
-        let n = 6;
-        let w = gen::random_connected(n, 0.45, 9, seed);
-        let h = fit_word_bits(&w).clamp(2, 62);
-
-        // A pre-raised token is the deterministic case: every backend
-        // must refuse at its first fallible instruction with the same
-        // typed error and the same number of issued steps.
-        let cancelled = || {
-            let token = CancelToken::new();
-            token.cancel();
-            token
-        };
-
-        let mut s = Ppa::square(n).with_word_bits(h);
-        s.attach_cancel(cancelled());
-        let want = minimum_cost_path(&mut s, &w, 0);
-        let want_err = match &want {
-            Err(e) => e.to_string(),
-            Ok(_) => return Err(TestCaseError::fail("cancelled scalar run succeeded")),
-        };
-
-        let mut p256 = packed256_ppa(n, h);
-        p256.attach_cancel(cancelled());
-        let got = minimum_cost_path(&mut p256, &w, 0);
-        prop_assert_eq!(
-            got.err().map(|e| e.to_string()),
-            Some(want_err.clone()),
-            "packed256 cancel outcome diverged"
-        );
-        prop_assert_eq!(p256.steps(), s.steps(), "packed256 cancel steps diverged");
-
-        for threads in THREAD_COUNTS {
-            let mut t = threaded256_ppa(n, h, threads);
-            t.attach_cancel(cancelled());
-            let got = minimum_cost_path(&mut t, &w, 0);
-            prop_assert_eq!(
-                got.err().map(|e| e.to_string()),
-                Some(want_err.clone()),
-                "threaded256 x{} cancel outcome diverged", threads
-            );
-            prop_assert_eq!(t.steps(), s.steps(), "cancel steps diverged at {} threads", threads);
-        }
+        let left = Some(budget.saturating_sub(spent));
+        prop_assert_eq!(p.steps_remaining(), left);
+        prop_assert_eq!(s.steps_remaining(), left);
     }
 }
 
-/// Lane seams must be invisible to 256-bit words: a two-lane batch on a
-/// 20-vertex graph builds a 20 x 40 machine whose flat bit indices 256
-/// and 512 — interior 256-bit word boundaries — fall in the middle of
-/// lane 0 and lane 1 respectively, so every W256 word spans both sides
-/// of a seam. Each lane must still match a solo scalar run exactly.
+/// A pre-raised token is the deterministic edge of cancellation: both
+/// backends must refuse at the first fallible instruction with the same
+/// typed error and the same number of issued steps.
 #[test]
-fn lane_seam_straddling_a_w256_word_boundary_is_invisible() {
-    use ppa_mcp::batch::replicate;
-    use ppa_mcp::BatchSession;
+fn precancelled_token_fails_on_the_same_step() {
+    let cancelled = || {
+        let token = CancelToken::new();
+        token.cancel();
+        token
+    };
+    for seed in 0..8 {
+        let w = gen::random_connected(6, 0.45, 9, seed);
+        let h = fit_word_bits(&w).clamp(2, 62);
 
+        let mut s = Ppa::square(6).with_word_bits(h);
+        s.attach_cancel(cancelled());
+        let want = minimum_cost_path(&mut s, &w, 0).unwrap_err();
+        assert!(want.is_cancelled(), "seed {seed}: {want:?}");
+
+        let mut p = packed_ppa(6, h);
+        p.attach_cancel(cancelled());
+        let got = minimum_cost_path(&mut p, &w, 0).unwrap_err();
+        assert_eq!(got.to_string(), want.to_string(), "seed {seed}");
+        assert_eq!(p.steps(), s.steps(), "seed {seed}");
+    }
+}
+
+/// Lane and row seams must be invisible to 64-bit words. Two lanes of a
+/// 20-vertex graph make a 20 x 40 machine: word 0 holds row 0 (lane 0's
+/// columns 0-19 and lane 1's columns 20-39) and columns 0-23 of row 1,
+/// so it crosses both the lane seam and a row seam, and later words
+/// straddle rows at other offsets. Every lane — budgeted or not — must
+/// match the scalar batch and a solo scalar run exactly.
+#[test]
+fn lane_seam_straddling_word_boundaries_is_invisible() {
     let n = 20usize;
-    let lanes = 2usize;
     let w = gen::random_connected(n, 0.3, 25, 0xA11CE);
-    let graphs = replicate(&w, lanes);
+    let graphs = replicate(&w, 2);
     let dests = [3usize, 17];
 
-    let mut batch = BatchSession::<PackedBackend<W256>>::new_packed_wide(&graphs).unwrap();
-    let wave = batch.solve(&dests).unwrap();
-    let word_bits = batch.word_bits();
-
+    let mut packed = BatchSession::new_packed(&graphs).unwrap();
+    let mut scalar = BatchSession::new(&graphs).unwrap();
+    let word_bits = packed.word_bits();
+    let wave = packed.solve(&dests).unwrap();
     for (lane, &d) in dests.iter().enumerate() {
         let got = wave[lane].as_ref().expect("lane converges");
         let solo = Ppa::square(n).with_word_bits(word_bits);
-        let want = ppa_mcp::McpSession::from_ppa(solo, &w)
+        let want = McpSession::from_ppa(solo, &w)
             .and_then(|mut s| s.solve(d))
             .unwrap();
         assert_eq!(
@@ -337,4 +240,27 @@ fn lane_seam_straddling_a_w256_word_boundary_is_invisible() {
             "lane {lane}: step report diverged across the seam"
         );
     }
+
+    // Lane 0 runs out of budget mid-solve, lane 1 is pre-cancelled: the
+    // packed wave fails them exactly as the scalar wave does.
+    let cancelled = CancelToken::new();
+    cancelled.cancel();
+    let limits = [
+        LaneLimit {
+            step_budget: Some(150),
+            cancel: None,
+        },
+        LaneLimit {
+            step_budget: None,
+            cancel: Some(cancelled),
+        },
+    ];
+    let got = packed.solve_with(&dests, &limits).unwrap();
+    let want = scalar.solve_with(&dests, &limits).unwrap();
+    for (lane, (g, s)) in got.iter().zip(&want).enumerate() {
+        let (g, s) = (g.as_ref().unwrap_err(), s.as_ref().unwrap_err());
+        assert_eq!(g.to_string(), s.to_string(), "lane {lane}");
+    }
+    assert!(got[0].as_ref().unwrap_err().is_step_budget_exhausted());
+    assert!(got[1].as_ref().unwrap_err().is_cancelled());
 }

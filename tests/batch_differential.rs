@@ -69,25 +69,6 @@ fn packed_batches_are_bit_identical_at_every_lane_count() {
 }
 
 #[test]
-fn threaded_batches_are_bit_identical_at_every_lane_count() {
-    let n = 6;
-    let w = gen::random_connected(n, 0.35, 12, 31);
-    for lanes in LANE_COUNTS {
-        let mut batch =
-            BatchSession::new_threaded(&replicate(&w, lanes), 3).expect("batch construction");
-        let dests = wavefront(n, lanes);
-        let wave = batch.solve(&dests).expect("batched solve");
-        assert_wave_matches_solo(
-            &w,
-            &dests,
-            batch.word_bits(),
-            wave,
-            &format!("threaded x{lanes}"),
-        );
-    }
-}
-
-#[test]
 fn scalar_batches_are_bit_identical_at_small_lane_counts() {
     // The scalar backend is the semantics oracle; keep its quadratic
     // cost in check by stopping at 8 lanes.

@@ -8,8 +8,7 @@
 //!   reference folds for arbitrary values, masks and directions;
 //! * algorithm laws — MCP cost vectors equal Bellman-Ford on arbitrary
 //!   digraphs, `PTN` chains re-sum to their claimed costs, and the
-//!   interpreted PPC program agrees with the native implementation;
-//! * engine laws — threaded execution is bit-identical to sequential.
+//!   interpreted PPC program agrees with the native implementation.
 
 #![allow(clippy::needless_range_loop)]
 use ppa_suite::prelude::*;
@@ -192,18 +191,6 @@ proptest! {
         let mut nppa = Ppa::square(w.n()).with_word_bits(h);
         let native = ppa_mcp::minimum_cost_path(&mut nppa, &w, d).unwrap();
         prop_assert_eq!(&interp.sow, &native.sow);
-    }
-
-    #[test]
-    fn threaded_equals_sequential(w in digraph(8), threads in 2usize..5) {
-        let d = 0;
-        let h = fit_word_bits(&w).clamp(2, 62);
-        let mut seq = Ppa::square(w.n()).with_word_bits(h);
-        let a = ppa_mcp::minimum_cost_path(&mut seq, &w, d).unwrap();
-        let mut thr = Ppa::square_with_mode(w.n(), ExecMode::threaded(threads)).with_word_bits(h);
-        let b = ppa_mcp::minimum_cost_path(&mut thr, &w, d).unwrap();
-        prop_assert_eq!(a.sow, b.sow);
-        prop_assert_eq!(a.stats.total, b.stats.total);
     }
 
     #[test]
