@@ -503,15 +503,20 @@ impl BusPlan {
 
 #[derive(Debug, Clone)]
 struct PlanEntry {
+    dim: Dim,
     dir: Direction,
     fp: u64,
     words: Vec<u64>,
     plan: Rc<BusPlan>,
 }
 
-/// FNV-1a over the packed words, seeded with the direction.
-fn fingerprint(dir: Direction, words: &[u64]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64 ^ (dir as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+/// FNV-1a over the packed words, seeded with the direction and the array
+/// width: the same words laid out in rows of another length are another
+/// bus configuration.
+fn fingerprint(dim: Dim, dir: Direction, words: &[u64]) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64
+        ^ (dir as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15)
+        ^ (dim.cols as u64).wrapping_mul(0x2545_f491_4f6c_dd1d);
     for &w in words {
         h ^= w;
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
@@ -575,11 +580,11 @@ impl PackedBackend {
 
     /// The cached cluster plan for `open` given as packed words.
     fn plan_for_words(&mut self, dim: Dim, dir: Direction, words: &[u64]) -> Rc<BusPlan> {
-        let fp = fingerprint(dir, words);
+        let fp = fingerprint(dim, dir, words);
         if let Some(pos) = self
             .plans
             .iter()
-            .position(|e| e.dir == dir && e.fp == fp && e.words == words)
+            .position(|e| e.dim == dim && e.dir == dir && e.fp == fp && e.words == words)
         {
             self.plan_hits += 1;
             let entry = self.plans.remove(pos);
@@ -593,6 +598,7 @@ impl PackedBackend {
             self.plans.remove(0);
         }
         self.plans.push(PlanEntry {
+            dim,
             dir,
             fp,
             words: words.to_vec(),
@@ -829,6 +835,21 @@ mod tests {
         assert_eq!(be.mask_to_plane(dim, &mask), plane);
     }
 
+    // The `_w256` tests keep the cases once run on 256-bit words; on `u64`
+    // words they cover planes whose rows or totals span four words or more.
+
+    #[test]
+    fn pack_roundtrip_preserves_bits_w256() {
+        // 300 PEs: five words, bits set on both sides of bit 256, and a
+        // partial trailing word (300 % 64 = 44 live bits).
+        let dim = Dim::new(15, 20);
+        let plane = plane_of(dim, |i| i % 3 == 0 || i == 255 || i == 256 || i == 299);
+        let mut be = PackedBackend::new();
+        let mask = be.mask_from_plane(dim, &plane);
+        assert_eq!(mask.count(), plane.count_true());
+        assert_eq!(be.mask_to_plane(dim, &mask), plane);
+    }
+
     #[test]
     fn filled_mask_trims_trailing_bits() {
         let dim = Dim::new(3, 3);
@@ -839,18 +860,42 @@ mod tests {
     }
 
     #[test]
-    fn range_ops_cover_word_straddles() {
+    fn filled_mask_trims_partial_trailing_word_w256() {
+        // Trailing-word trim with 44, 0, 16, 2 and 0 live bits in the last
+        // word, on masks of five to eight words.
+        for (rows, cols) in [(1, 300), (1, 320), (1, 400), (1, 450), (2, 256)] {
+            let dim = Dim::new(rows, cols);
+            let mut be = PackedBackend::new();
+            let mask = be.mask_filled(dim, true);
+            assert_eq!(mask.count(), dim.len(), "dim {dim:?}");
+            assert!((0..dim.len()).all(|i| mask.bit(i)), "dim {dim:?}");
+            // Nothing past the live region in the last word.
+            let last = *mask.words.last().unwrap();
+            let rem = dim.len() % 64;
+            if rem != 0 {
+                assert_eq!(last >> rem, 0, "dim {dim:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn range_ops_cover_all_subword_offsets_w256() {
         // `range_any`/`set_range` with boundaries at and across the 64-bit
-        // word boundaries of a 192-bit set, plus a full span.
-        let bits = 192;
+        // word boundaries of a 768-bit set, plus a full span.
+        let bits = 768;
         for (s, e) in [
             (0, 64),
             (64, 128),
+            (128, 192),
+            (192, 256),
             (60, 70),
             (63, 65),
-            (100, 192),
-            (0, 192),
-            (70, 70),
+            (120, 200),
+            (250, 300),
+            (255, 257),
+            (500, 768),
+            (0, 768),
+            (300, 300),
         ] {
             let mut words = vec![0u64; bits / 64];
             set_range(&mut words, s, e);
@@ -871,33 +916,42 @@ mod tests {
 
     #[test]
     fn packed_bus_or_matches_scalar_reference() {
-        // 9x9 and 21x21: row segments and column key walks straddle words.
+        // 9x9: row segments and column key walks straddle one word boundary.
+        bus_or_matches_scalar(Dim::square(9));
+    }
+
+    #[test]
+    fn packed_bus_or_matches_scalar_reference_w256() {
+        // 21x21 = 441 PEs: seven words, so row segments and column key
+        // walks straddle word boundaries at many offsets.
+        bus_or_matches_scalar(Dim::square(21));
+    }
+
+    fn bus_or_matches_scalar(dim: Dim) {
         let mut packed = PackedBackend::new();
         let mut scalar = ScalarBackend;
-        for dim in [Dim::square(9), Dim::square(21)] {
-            for (seed, dir) in [
-                (3usize, Direction::East),
-                (7, Direction::South),
-                (11, Direction::West),
-                (5, Direction::North),
-            ] {
-                let open = plane_of(dim, |i| (i * seed + 1) % 4 == 0);
-                let vals = plane_of(dim, |i| (i * seed) % 5 == 0);
-                let pm = packed.mask_from_plane(dim, &open);
-                let pv = packed.mask_from_plane(dim, &vals);
-                let got = packed
-                    .mask_bus_or(ExecMode::Sequential, dim, &pv, dir, &pm)
-                    .unwrap();
-                let want = scalar
-                    .mask_bus_or(ExecMode::Sequential, dim, &vals, dir, &open)
-                    .unwrap();
-                assert_eq!(packed.mask_to_plane(dim, &got), want, "{dim} {dir:?}");
-            }
+        for (seed, dir) in [
+            (3usize, Direction::East),
+            (7, Direction::South),
+            (11, Direction::West),
+            (5, Direction::North),
+        ] {
+            let open = plane_of(dim, |i| (i * seed + 1) % 4 == 0);
+            let vals = plane_of(dim, |i| (i * seed) % 5 == 0);
+            let pm = packed.mask_from_plane(dim, &open);
+            let pv = packed.mask_from_plane(dim, &vals);
+            let got = packed
+                .mask_bus_or(ExecMode::Sequential, dim, &pv, dir, &pm)
+                .unwrap();
+            let want = scalar
+                .mask_bus_or(ExecMode::Sequential, dim, &vals, dir, &open)
+                .unwrap();
+            assert_eq!(packed.mask_to_plane(dim, &got), want, "{dim} {dir:?}");
         }
     }
 
     #[test]
-    fn vote_and_knockout_match_scalar() {
+    fn vote_and_knockout_match_scalar_at_w256() {
         let dim = Dim::new(9, 31); // 279 PEs: four full words and a partial one
         let mut packed = PackedBackend::new();
         let mut scalar = ScalarBackend;
@@ -965,11 +1019,24 @@ mod tests {
     /// Dims whose rows, columns or totals straddle 64-bit words.
     const STRADDLING_DIMS: [(usize, usize); 5] = [(5, 13), (9, 31), (1, 65), (65, 1), (21, 21)];
 
+    /// Dims whose rows span four or more 64-bit words, or whose single
+    /// column does.
+    const WIDE_ROW_DIMS: [(usize, usize); 4] = [(2, 300), (3, 257), (1, 513), (260, 1)];
+
     #[test]
     fn broadcast_matches_bus_reference_at_w64() {
+        broadcast_matches_reference(&STRADDLING_DIMS);
+    }
+
+    #[test]
+    fn broadcast_matches_bus_reference_at_w256() {
+        broadcast_matches_reference(&WIDE_ROW_DIMS);
+    }
+
+    fn broadcast_matches_reference(dims: &[(usize, usize)]) {
         let mut be = PackedBackend::new();
         let mut rng = 7u64;
-        for (rows, cols) in STRADDLING_DIMS {
+        for &(rows, cols) in dims {
             let dim = Dim::new(rows, cols);
             let src = Plane::from_vec(
                 dim,
@@ -1034,9 +1101,18 @@ mod tests {
 
     #[test]
     fn bit_slices_match_per_bit_extraction_at_w64() {
+        bit_slices_match_reference(&STRADDLING_DIMS);
+    }
+
+    #[test]
+    fn bit_slices_match_per_bit_extraction_at_w256() {
+        bit_slices_match_reference(&WIDE_ROW_DIMS);
+    }
+
+    fn bit_slices_match_reference(dims: &[(usize, usize)]) {
         let mut be = PackedBackend::new();
         let mut rng = 11u64;
-        for (rows, cols) in STRADDLING_DIMS {
+        for &(rows, cols) in dims {
             let dim = Dim::new(rows, cols);
             // Value widths from a single bit up to bit 62, the highest a
             // non-negative i64 can hold, plus an all-zero plane.
@@ -1147,6 +1223,30 @@ mod tests {
         assert_eq!(be.slices.last().unwrap().dim, Some(square));
         let want = reference_bit_plane(&a, 2);
         assert!((0..65).all(|i| m.bit(i) == want.as_slice()[i]));
+    }
+
+    #[test]
+    fn fingerprints_are_width_keyed() {
+        // The same 64 Open bits read as an 8x8 and as a 4x16 array are
+        // different bus layouts: a plan cached for one array width must
+        // never be replayed against the other.
+        let mut packed = PackedBackend::new();
+        let mut scalar = ScalarBackend;
+        for dim in [Dim::square(8), Dim::new(4, 16), Dim::square(8)] {
+            let open = plane_of(dim, |i| i % 5 == 0);
+            let vals = plane_of(dim, |i| i % 7 == 0);
+            let pm = packed.mask_from_plane(dim, &open);
+            let pv = packed.mask_from_plane(dim, &vals);
+            let got = packed
+                .mask_bus_or(ExecMode::Sequential, dim, &pv, Direction::East, &pm)
+                .unwrap();
+            let want = scalar
+                .mask_bus_or(ExecMode::Sequential, dim, &vals, Direction::East, &open)
+                .unwrap();
+            assert_eq!(packed.mask_to_plane(dim, &got), want, "{dim}");
+        }
+        let stats = packed.stats();
+        assert_eq!((stats.plan_misses, stats.plan_hits), (2, 1));
     }
 
     #[test]

@@ -5,6 +5,10 @@
 //! step budgets, a pre-cancelled token, and lane batches whose `u64`
 //! words straddle lane and row seams.
 //!
+//! The random and the cancellation cases run at both array widths: arrays
+//! of n <= 8, whose planes fit in one `u64` word, and wider ones, whose
+//! rows straddle words.
+//!
 //! The machine word is a host-side representation choice; the simulated
 //! machine must not be able to observe it. Budget runs are additionally
 //! checked against the budget itself, not only against each other, so a
@@ -18,9 +22,18 @@ use ppa_mcp::{BatchSession, LaneLimit, McpError, McpOutput, McpSession};
 use ppa_ppc::{Parallel, Ppa};
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
+use std::ops::RangeInclusive;
 
 fn packed_ppa(n: usize, h: u32) -> Ppa<PackedBackend> {
     Ppa::<PackedBackend>::packed(n).with_word_bits(h)
+}
+
+/// An array side: one-word planes and row-straddling ones equally often.
+fn side(
+    narrow: RangeInclusive<usize>,
+    wide: RangeInclusive<usize>,
+) -> impl Strategy<Value = usize> {
+    prop_oneof![narrow, wide]
 }
 
 fn direction() -> impl Strategy<Value = Direction> {
@@ -68,8 +81,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     #[test]
-    fn collectives_match_scalar(
-        args in (3usize..=9).prop_flat_map(|n| {
+    fn collectives_match_scalar_at_both_widths(
+        args in side(3..=8, 9..=11).prop_flat_map(|n| {
             (
                 Just(n),
                 proptest::collection::vec(0i64..=255, n * n),
@@ -95,8 +108,8 @@ proptest! {
     }
 
     #[test]
-    fn mcp_matches_scalar(
-        (n, seed) in (4usize..=10, 0u64..1000),
+    fn mcp_matches_scalar_at_both_widths(
+        (n, seed) in (side(4..=8, 9..=11), 0u64..1000),
         dest_pick in 0usize..10,
     ) {
         let w = gen::random_digraph(n, 0.4, 15, seed);
@@ -110,11 +123,11 @@ proptest! {
     }
 
     #[test]
-    fn transient_faults_land_identically(
+    fn transient_faults_land_identically_at_both_widths(
+        n in side(6..=6, 9..=9),
         seed in 0u64..500,
         p_fault in prop_oneof![Just(0.002f64), Just(0.01), Just(1.0)],
     ) {
-        let n = 6;
         let w = gen::random_connected(n, 0.45, 9, seed);
         let h = fit_word_bits(&w).clamp(2, 62);
 
@@ -131,11 +144,11 @@ proptest! {
     }
 
     #[test]
-    fn step_budgets_exhaust_on_the_same_step(
+    fn step_budgets_exhaust_on_the_same_step_at_both_widths(
+        n in side(6..=6, 9..=9),
         seed in 0u64..200,
         budget in 3u64..400,
     ) {
-        let n = 6;
         let w = gen::random_connected(n, 0.45, 9, seed);
         let h = fit_word_bits(&w).clamp(2, 62);
 
@@ -181,26 +194,28 @@ proptest! {
 /// backends must refuse at the first fallible instruction with the same
 /// typed error and the same number of issued steps.
 #[test]
-fn precancelled_token_fails_on_the_same_step() {
+fn cancellation_fires_on_the_same_step_at_both_widths() {
     let cancelled = || {
         let token = CancelToken::new();
         token.cancel();
         token
     };
-    for seed in 0..8 {
-        let w = gen::random_connected(6, 0.45, 9, seed);
-        let h = fit_word_bits(&w).clamp(2, 62);
+    for n in [6, 9] {
+        for seed in 0..8 {
+            let w = gen::random_connected(n, 0.45, 9, seed);
+            let h = fit_word_bits(&w).clamp(2, 62);
 
-        let mut s = Ppa::square(6).with_word_bits(h);
-        s.attach_cancel(cancelled());
-        let want = minimum_cost_path(&mut s, &w, 0).unwrap_err();
-        assert!(want.is_cancelled(), "seed {seed}: {want:?}");
+            let mut s = Ppa::square(n).with_word_bits(h);
+            s.attach_cancel(cancelled());
+            let want = minimum_cost_path(&mut s, &w, 0).unwrap_err();
+            assert!(want.is_cancelled(), "n {n} seed {seed}: {want:?}");
 
-        let mut p = packed_ppa(6, h);
-        p.attach_cancel(cancelled());
-        let got = minimum_cost_path(&mut p, &w, 0).unwrap_err();
-        assert_eq!(got.to_string(), want.to_string(), "seed {seed}");
-        assert_eq!(p.steps(), s.steps(), "seed {seed}");
+            let mut p = packed_ppa(n, h);
+            p.attach_cancel(cancelled());
+            let got = minimum_cost_path(&mut p, &w, 0).unwrap_err();
+            assert_eq!(got.to_string(), want.to_string(), "n {n} seed {seed}");
+            assert_eq!(p.steps(), s.steps(), "n {n} seed {seed}");
+        }
     }
 }
 
@@ -208,10 +223,11 @@ fn precancelled_token_fails_on_the_same_step() {
 /// 20-vertex graph make a 20 x 40 machine: word 0 holds row 0 (lane 0's
 /// columns 0-19 and lane 1's columns 20-39) and columns 0-23 of row 1,
 /// so it crosses both the lane seam and a row seam, and later words
-/// straddle rows at other offsets. Every lane — budgeted or not — must
-/// match the scalar batch and a solo scalar run exactly.
+/// straddle rows at other offsets: word 4 starts at bit 256 (row 6,
+/// column 16) and crosses the lane seam and a row seam again. Every lane — budgeted or not — must match the scalar batch and a solo
+/// scalar run exactly.
 #[test]
-fn lane_seam_straddling_word_boundaries_is_invisible() {
+fn lane_seam_straddling_a_w256_word_boundary_is_invisible() {
     let n = 20usize;
     let w = gen::random_connected(n, 0.3, 25, 0xA11CE);
     let graphs = replicate(&w, 2);
