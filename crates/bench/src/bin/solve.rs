@@ -31,7 +31,8 @@
 //! `--serve` routes the job through the hardened [`ppa_serve`] service
 //! instead of solving inline: a worker pool with deadlines (cooperative
 //! cancellation), controller step budgets, retry-with-backoff, and a
-//! packed→scalar circuit breaker. Serve mode handles `shortest`,
+//! health ledger that quarantines faulty machines; every machine runs on
+//! the `--backend` given. Serve mode handles `shortest`,
 //! `widest`, and `apsp` (all destinations, with checkpointing); it
 //! prints the job report plus the service's `serve.*` counters.
 //!

@@ -73,7 +73,7 @@ fn campaign_loses_nothing_and_reconciles_every_scenario() {
 #[test]
 fn robustness_invariants_hold_on_a_rerolled_seed() {
     // Per-scenario tallies legitimately vary with thread scheduling
-    // (deadline misses and breaker routing are wall-clock dependent),
+    // (deadline misses are wall-clock dependent),
     // but the robustness invariants must hold for *any* seed: nothing
     // lost, nothing silently wrong, every scenario reconciled.
     let table = serve_campaign(11);

@@ -1,7 +1,7 @@
 //! Point-in-time service introspection: a JSON-round-trippable snapshot
 //! of everything a live [`SolveService`](crate::SolveService) knows
 //! about itself — queue depth, in-flight jobs with their age and
-//! deadline, per-worker state, breaker state, the retry/replacement
+//! deadline, per-worker state, per-machine health, the retry/replacement
 //! counters, and the full merged metrics registry.
 //!
 //! The snapshot is *exact*: [`Introspection::from_json`] of
@@ -10,7 +10,6 @@
 //! `solve --serve --status-every` can be diffed, archived, and
 //! reconciled against client-side tallies without loss.
 
-use crate::breaker::BreakerState;
 use crate::service::SolveService;
 use ppa_obs::{Json, Metrics};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -198,53 +197,6 @@ impl HealthView {
     }
 }
 
-/// The circuit breaker's state, flattened for JSON.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BreakerView {
-    /// `closed`, `open`, or `half-open`.
-    pub state: String,
-    /// Jobs left in the Open-state cooldown (0 unless `state == open`).
-    pub cooldown_left: u64,
-}
-
-impl BreakerView {
-    /// Flattens a live [`BreakerState`].
-    pub fn from_state(s: BreakerState) -> BreakerView {
-        match s {
-            BreakerState::Closed => BreakerView {
-                state: "closed".to_owned(),
-                cooldown_left: 0,
-            },
-            BreakerState::Open { cooldown_left } => BreakerView {
-                state: "open".to_owned(),
-                cooldown_left: u64::from(cooldown_left),
-            },
-            BreakerState::HalfOpen => BreakerView {
-                state: "half-open".to_owned(),
-                cooldown_left: 0,
-            },
-        }
-    }
-
-    fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("state", Json::Str(self.state.clone())),
-            ("cooldown_left", Json::Num(self.cooldown_left as f64)),
-        ])
-    }
-
-    fn from_json(v: &Json) -> Result<BreakerView, String> {
-        let view = BreakerView {
-            state: field_str(v, "state")?,
-            cooldown_left: field_u64(v, "cooldown_left")?,
-        };
-        match view.state.as_str() {
-            "closed" | "open" | "half-open" => Ok(view),
-            other => Err(format!("unknown breaker state {other:?}")),
-        }
-    }
-}
-
 /// A point-in-time snapshot of a running [`SolveService`]
 /// (see [`SolveService::introspect`](crate::SolveService::introspect)).
 #[derive(Debug, Clone, PartialEq)]
@@ -266,8 +218,6 @@ pub struct Introspection {
     /// Per-machine health records, ordered by worker index (persistent:
     /// includes machines whose worker already exited).
     pub health: Vec<HealthView>,
-    /// Circuit-breaker state.
-    pub breaker: BreakerView,
     /// Convenience mirror of the `serve.retries` counter.
     pub retries: u64,
     /// Convenience mirror of the `serve.workers_replaced` counter.
@@ -292,7 +242,6 @@ impl Introspection {
                 "batch_lanes_inflight",
                 Json::Num(self.batch_lanes_inflight as f64),
             ),
-            ("breaker", self.breaker.to_json()),
             (
                 "workers",
                 Json::Array(self.workers.iter().map(|w| w.to_json()).collect()),
@@ -349,10 +298,6 @@ impl Introspection {
             inflight,
             workers,
             health,
-            breaker: BreakerView::from_json(
-                v.get("breaker")
-                    .ok_or_else(|| "missing breaker".to_owned())?,
-            )?,
             retries: field_u64(v, "retries")?,
             workers_replaced: field_u64(v, "workers_replaced")?,
             quarantine_leaks: field_u64(v, "quarantine_leaks")?,
@@ -506,7 +451,6 @@ mod tests {
                     clean_streak: 0,
                 },
             ],
-            breaker: BreakerView::from_state(BreakerState::Open { cooldown_left: 3 }),
             retries: 4,
             workers_replaced: 1,
             quarantine_leaks: 0,
@@ -533,17 +477,6 @@ mod tests {
         let text = snap.to_json().to_string_pretty();
         let doc = Json::parse(&text).unwrap();
         assert_eq!(Introspection::from_json(&doc).unwrap(), snap);
-    }
-
-    #[test]
-    fn breaker_states_flatten_distinctly() {
-        let closed = BreakerView::from_state(BreakerState::Closed);
-        let open = BreakerView::from_state(BreakerState::Open { cooldown_left: 8 });
-        let half = BreakerView::from_state(BreakerState::HalfOpen);
-        assert_eq!(closed.state, "closed");
-        assert_eq!(open.state, "open");
-        assert_eq!(open.cooldown_left, 8);
-        assert_eq!(half.state, "half-open");
     }
 
     #[test]

@@ -87,13 +87,13 @@ impl JobSpec {
     }
 }
 
-/// Which backend a job attempt ran on.
+/// Which backend a job ran on: one per service, chosen by
+/// [`ServeConfig::prefer_packed`](crate::ServeConfig::prefer_packed).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BackendChoice {
-    /// The packed bit-plane backend (fast path, guarded by the circuit
-    /// breaker).
+    /// The packed bit-plane backend (the default).
     Packed,
-    /// The scalar reference backend (fallback path).
+    /// The scalar reference backend.
     Scalar,
 }
 

@@ -13,15 +13,15 @@
 //!   pathological input (the paper's `O(p·h)` loop with an adversarial
 //!   `p`) can never wedge a worker. Both surface as typed errors.
 //! * **Panic isolation** — a panicking job is caught, reported as
-//!   [`ServeError::WorkerPanicked`], and the worker is replaced by a
-//!   supervisor thread. No ticket is ever left hanging.
+//!   [`ServeError::WorkerPanicked`], and the dying worker spawns its own
+//!   replacement before it reports. No ticket is ever left hanging.
 //! * **Retries** — corruption-class failures (transient injected faults)
 //!   are retried on a fresh machine with exponential backoff + jitter
 //!   ([`RetryPolicy`]), reusing the recovery layer's failure taxonomy.
-//! * **Circuit breaking** — repeated failures on the packed backend
-//!   trip a [`CircuitBreaker`] that falls back to the scalar reference
-//!   backend and only re-admits packed traffic after a live divergence
-//!   probe passes.
+//!   Every such failure is also a sighting in the health ledger below;
+//!   retries stay on the service's one backend, since scalar and packed
+//!   give bit-identical results and a machine fault follows the machine,
+//!   not the backend.
 //! * **Self-healing** — shortest-path jobs can run lane-replicated
 //!   under DMR/TMR voting ([`ServeConfig::redundancy`]); a background
 //!   scrubber runs six-pattern BIST on idle workers under a duty-cycle
@@ -42,7 +42,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod breaker;
 pub mod checkpoint;
 pub mod health;
 pub mod introspect;
@@ -53,12 +52,9 @@ pub mod service;
 pub mod shard;
 pub mod wire;
 
-pub use breaker::{BreakerConfig, BreakerState, CircuitBreaker, Route};
 pub use checkpoint::{ApspCheckpoint, DestResult};
 pub use health::{HealthLedger, HealthPolicy, HealthRecord, MachineHealth};
-pub use introspect::{
-    BreakerView, HealthView, InflightJob, Introspection, StatusReporter, WorkerView,
-};
+pub use introspect::{HealthView, InflightJob, Introspection, StatusReporter, WorkerView};
 pub use job::{BackendChoice, JobKind, JobOutcome, JobReport, JobSpec, ServeError};
 pub use net::{ClientError, NetClient, NetConfig, NetServer};
 pub use policy::RetryPolicy;

@@ -1,5 +1,5 @@
 //! The solve service: worker pool, bounded intake, deadlines, retries,
-//! circuit breaking, panic isolation, and graceful drain.
+//! panic isolation, and graceful drain.
 //!
 //! # Lifecycle of a job
 //!
@@ -7,29 +7,31 @@
 //! submit ──▶ bounded queue ──▶ worker ──▶ attempt loop ──▶ report
 //!    │            │               │            │
 //!    │ full:      │ deadline      │ panic:     │ corruption: retry with
-//!    │ Rejected   │ expired:      │ isolate +  │ backoff; packed failures
-//!    │            │ never run     │ replace    │ feed the circuit breaker
+//!    │ Rejected   │ expired:      │ replace +  │ backoff; each failure is
+//!    │            │ never run     │ isolate    │ a health-ledger sighting
 //! ```
 //!
 //! Every attempt runs on a **fresh machine** (transient faults do not
 //! outlive an attempt), under a cooperative [`CancelToken`] armed by the
 //! deadline watchdog and a controller step budget
 //! ([`Ppa::limit_steps`](ppa_ppc::Ppa::limit_steps)) — so no input, fault
-//! pattern, or deadline can wedge a worker. Workers that panic are
-//! allowed to die: the panic is caught, the client still gets a typed
-//! [`ServeError::WorkerPanicked`] report, and a supervisor thread spawns
-//! a replacement. All of it is counted under `serve.*` metrics, which the
-//! stress campaign reconciles 1:1 against client-side observations.
+//! pattern, or deadline can wedge a worker. Every machine of a service
+//! runs on one backend ([`ServeConfig::prefer_packed`]). Workers that
+//! panic are allowed to die: the panic is caught, the dying worker
+//! spawns its own replacement, and the client still gets a typed
+//! [`ServeError::WorkerPanicked`] report. All of it is counted under
+//! `serve.*` metrics, which the stress campaign reconciles 1:1 against
+//! client-side observations.
 
-use crate::breaker::{BreakerState, CircuitBreaker, Route};
 use crate::checkpoint::ApspCheckpoint;
 use crate::health::{HealthLedger, HealthPolicy, MachineHealth};
-use crate::introspect::{BreakerView, HealthView, InflightJob, Introspection, WorkerView};
+use crate::introspect::{HealthView, InflightJob, Introspection, WorkerView};
 use crate::job::{BackendChoice, JobKind, JobOutcome, JobReport, JobSpec, ServeError};
 use crate::policy::RetryPolicy;
-use crate::BreakerConfig;
 use ppa_graph::{Weight, WeightMatrix, INF};
-use ppa_machine::{CancelToken, Dim, Executor, FaultMap, Machine, PackedBackend, TransientFaults};
+use ppa_machine::{
+    CancelToken, Dim, Executor, FaultMap, FaultReport, Machine, PackedBackend, TransientFaults,
+};
 use ppa_mcp::batch::replicate;
 use ppa_mcp::widest::{widest_path, WidestOutput};
 use ppa_mcp::{mcp, BatchSession, LaneLimit, McpError, McpOutput, McpSession, Redundancy};
@@ -46,7 +48,7 @@ use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
 /// Service tuning. `Default` is sized for tests and the CLI: a small
-/// pool with modest backpressure and the stock retry/breaker policies.
+/// pool with modest backpressure and the stock retry policy.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
     /// Worker threads in the pool (clamped to at least 1).
@@ -60,10 +62,10 @@ pub struct ServeConfig {
     pub default_step_budget: Option<u64>,
     /// Retry pacing for corruption-class failures.
     pub retry: RetryPolicy,
-    /// Circuit-breaker tuning for the packed backend.
-    pub breaker: BreakerConfig,
-    /// Route jobs to the packed backend when the breaker allows it;
-    /// `false` pins everything to the scalar reference backend.
+    /// Run every machine of the service (jobs, scrubs and probes) on the
+    /// packed backend; `false` runs them all on the scalar reference
+    /// backend. Both give bit-identical results and step counts; scalar
+    /// is the slower one.
     pub prefer_packed: bool,
     /// Seed for worker-local RNGs (retry jitter). Worker `k` derives its
     /// stream from `seed` and `k`, so runs are reproducible.
@@ -97,7 +99,6 @@ impl Default for ServeConfig {
             default_deadline: None,
             default_step_budget: None,
             retry: RetryPolicy::default(),
-            breaker: BreakerConfig::default(),
             prefer_packed: true,
             seed: 0x5eed,
             batching: BatchingConfig::default(),
@@ -251,18 +252,6 @@ fn strip<T>(e: TrySendError<T>) -> TrySendError<()> {
     }
 }
 
-/// Supervisor mailbox messages.
-enum Supervise {
-    /// A worker died after an isolated panic; spawn a replacement.
-    Died,
-    /// A worker's machine was quarantined; spawn a replacement so
-    /// serving capacity survives the bench. The benched worker lives
-    /// on, scrubbing toward re-admission.
-    Benched,
-    /// Drain complete; the supervisor should exit.
-    Stop,
-}
-
 /// What a worker thread is doing right now (introspection state).
 #[derive(Clone, Copy)]
 enum WorkerState {
@@ -284,11 +273,10 @@ struct InflightEntry {
     worker: u64,
 }
 
-/// State shared by the service handle, every worker, and the supervisor.
+/// State shared by the service handle and every worker.
 struct Shared {
     config: ServeConfig,
     metrics: Mutex<Metrics>,
-    breaker: Mutex<CircuitBreaker>,
     accepting: AtomicBool,
     /// Jobs accepted into the intake queue and not yet picked up by a
     /// worker. Incremented *before* `try_send` (and rolled back on
@@ -318,6 +306,15 @@ struct Shared {
 }
 
 impl Shared {
+    /// The backend every machine of this service runs on.
+    fn backend(&self) -> BackendChoice {
+        if self.config.prefer_packed {
+            BackendChoice::Packed
+        } else {
+            BackendChoice::Scalar
+        }
+    }
+
     /// The drill fault plan's faults for the next machine worker
     /// `index` builds, if any. Every call with a planted spec counts a
     /// build, so `heal_after_builds` models a repair that lands after a
@@ -332,15 +329,16 @@ impl Shared {
     }
 }
 
-/// Everything a worker thread needs; cloneable so the supervisor can
-/// spawn replacements.
+/// Everything a worker thread needs; cloneable so a leaving worker can
+/// spawn its own replacement.
 #[derive(Clone)]
 struct WorkerCtx {
     shared: Arc<Shared>,
     jobs: Arc<Mutex<Receiver<Work>>>,
     watchdog_tx: Sender<(Instant, CancelToken)>,
-    death_tx: Sender<Supervise>,
     worker_seq: Arc<AtomicU64>,
+    /// Join handles of every worker ever spawned; drain joins them all.
+    handles: Arc<Mutex<Vec<JoinHandle<()>>>>,
 }
 
 /// A handle to one submitted job's eventual report.
@@ -384,27 +382,22 @@ pub struct SolveService {
     job_tx: Option<IntakeTx>,
     handles: Arc<Mutex<Vec<JoinHandle<()>>>>,
     coalescer: Option<JoinHandle<()>>,
-    supervisor: Option<JoinHandle<()>>,
     watchdog: Option<JoinHandle<()>>,
-    death_tx: Sender<Supervise>,
     next_id: AtomicU64,
 }
 
 impl SolveService {
-    /// Starts the worker pool, supervisor, and deadline watchdog.
+    /// Starts the worker pool and the deadline watchdog.
     pub fn start(config: ServeConfig) -> SolveService {
         let workers = config.workers.max(1);
         let capacity = config.queue_capacity.max(1);
-        let breaker = CircuitBreaker::new(config.breaker);
         let (work_tx, work_rx) = mpsc::sync_channel::<Work>(capacity);
         let (watchdog_tx, watchdog_rx) = mpsc::channel();
-        let (death_tx, death_rx) = mpsc::channel();
         let batching = config.batching.enabled;
         let ledger = HealthLedger::new(config.health);
         let shared = Arc::new(Shared {
             config,
             metrics: Mutex::new(Metrics::new()),
-            breaker: Mutex::new(breaker),
             accepting: AtomicBool::new(true),
             queue_depth: AtomicU64::new(0),
             inflight: Mutex::new(BTreeMap::new()),
@@ -425,31 +418,27 @@ impl SolveService {
         } else {
             (IntakeTx::Direct(work_tx), None)
         };
+        let handles = Arc::new(Mutex::new(Vec::new()));
         let ctx = WorkerCtx {
             shared: Arc::clone(&shared),
             jobs: Arc::new(Mutex::new(work_rx)),
             watchdog_tx,
-            death_tx: death_tx.clone(),
             worker_seq: Arc::new(AtomicU64::new(0)),
+            handles: Arc::clone(&handles),
         };
-        let handles = Arc::new(Mutex::new(Vec::new()));
         {
             let mut hs = lock(&handles);
             for _ in 0..workers {
                 hs.push(spawn_worker(ctx.clone()));
             }
         }
-        let sup_handles = Arc::clone(&handles);
-        let supervisor = thread::spawn(move || supervisor_loop(death_rx, ctx, sup_handles));
         let watchdog = thread::spawn(move || watchdog_loop(watchdog_rx));
         SolveService {
             shared,
             job_tx: Some(job_tx),
             handles,
             coalescer,
-            supervisor: Some(supervisor),
             watchdog: Some(watchdog),
-            death_tx,
             next_id: AtomicU64::new(0),
         }
     }
@@ -541,14 +530,9 @@ impl SolveService {
         self.shared.queue_depth.load(Ordering::Acquire)
     }
 
-    /// The breaker's current state (drills and reports inspect this).
-    pub fn breaker_state(&self) -> BreakerState {
-        lock(&self.shared.breaker).state()
-    }
-
     /// A point-in-time snapshot of the whole service: queue depth,
     /// in-flight jobs with their age and effective deadline, per-worker
-    /// state, breaker state, retry/replacement counters, and the full
+    /// state, per-machine health, retry/replacement counters, and the full
     /// metrics registry. The snapshot is consistent enough to reconcile:
     /// on an idle service (`queue_depth == 0`, no in-flight jobs) every
     /// counter is final. Serializes exactly via
@@ -603,7 +587,6 @@ impl SolveService {
             inflight,
             workers,
             health,
-            breaker: BreakerView::from_state(lock(&self.shared.breaker).state()),
             retries: metrics.counter("serve.retries"),
             workers_replaced: metrics.counter("serve.workers_replaced"),
             quarantine_leaks: metrics.counter("serve.health.quarantine_leaks"),
@@ -629,28 +612,20 @@ impl SolveService {
         if let Some(c) = self.coalescer.take() {
             let _ = c.join();
         }
-        self.join_workers();
-        let _ = self.death_tx.send(Supervise::Stop);
-        if let Some(s) = self.supervisor.take() {
-            let _ = s.join();
-        }
-        // The supervisor may have spawned a replacement between our last
-        // sweep and its Stop; it exits immediately, but must be joined.
-        self.join_workers();
-        if let Some(w) = self.watchdog.take() {
-            let _ = w.join();
-        }
-    }
-
-    fn join_workers(&self) {
+        // A worker that panics or benches its machine while draining pushes
+        // its replacement before it exits, so sweep until a round finds
+        // no handle left.
         loop {
             let batch: Vec<JoinHandle<()>> = lock(&self.handles).drain(..).collect();
             if batch.is_empty() {
-                return;
+                break;
             }
             for h in batch {
                 let _ = h.join();
             }
+        }
+        if let Some(w) = self.watchdog.take() {
+            let _ = w.join();
         }
     }
 }
@@ -663,13 +638,23 @@ impl Drop for SolveService {
 
 /// Registers a new worker in introspection and the health ledger, then
 /// starts its thread. Registering before the spawn means a snapshot taken
-/// right after `start()` (or after a supervisor replacement) already lists
-/// the worker, instead of racing its thread's first instruction.
+/// right after `start()` (or after a replacement) already lists the
+/// worker, instead of racing its thread's first instruction.
 fn spawn_worker(ctx: WorkerCtx) -> JoinHandle<()> {
     let index = ctx.worker_seq.fetch_add(1, Ordering::Relaxed);
     lock(&ctx.shared.workers).insert(index, WorkerState::Idle);
     lock(&ctx.shared.health).register(index);
     thread::spawn(move || worker_loop(ctx, index))
+}
+
+/// Spawns a replacement for a worker that leaves the serving pool (its
+/// machine was benched, or it panicked) and counts it under `counter`.
+/// The leaving worker calls this itself before it publishes why it left,
+/// so whoever sees the quarantine counter or the panic report also sees
+/// the replacement.
+fn replace_worker(ctx: &WorkerCtx, counter: &str) {
+    lock(&ctx.handles).push(spawn_worker(ctx.clone()));
+    lock(&ctx.shared.metrics).inc(counter, 1);
 }
 
 fn worker_loop(ctx: WorkerCtx, index: u64) {
@@ -748,8 +733,8 @@ fn worker_loop(ctx: WorkerCtx, index: u64) {
                 if run_batch_on_worker(&ctx, index, jobs, &mut rng) {
                     continue;
                 }
-                // The batch panicked; this worker is done (the
-                // supervisor was already asked for a replacement).
+                // The batch panicked; this worker is done (its
+                // replacement is already running).
                 return;
             }
         };
@@ -775,9 +760,11 @@ fn worker_loop(ctx: WorkerCtx, index: u64) {
                 let _ = reply.send(report);
             }
             Err(payload) => {
-                // The dying worker disappears from introspection; its
-                // replacement registers itself under a fresh index.
+                // A worker that panicked may hold corrupted thread state:
+                // it leaves introspection, starts its replacement under a
+                // fresh index, reports, and exits.
                 lock(&ctx.shared.workers).remove(&index);
+                replace_worker(&ctx, "serve.workers_replaced");
                 let latency = submitted.elapsed();
                 let mut m = lock(&ctx.shared.metrics);
                 m.inc("serve.worker_panics", 1);
@@ -793,9 +780,6 @@ fn worker_loop(ctx: WorkerCtx, index: u64) {
                     backend: None,
                     latency,
                 });
-                // A worker that panicked may hold corrupted thread state;
-                // report the death and let the supervisor replace it.
-                let _ = ctx.death_tx.send(Supervise::Died);
                 return;
             }
         }
@@ -848,21 +832,20 @@ fn maybe_idle_scrub(ctx: &WorkerCtx, index: u64, clock: &mut ScrubClock) {
 }
 
 /// One BIST sweep of this worker's machine: builds a scrub machine the
-/// way the worker builds job machines (drill fault plans included),
-/// runs the six-pattern self test, and feeds the verdict to the health
-/// ledger. A fault-localizing sweep quarantines the machine from any
-/// serving state and asks the supervisor for a replacement; a clean
-/// sweep builds the streak that clears a suspect, or moves a
+/// way the worker builds job machines (service backend and drill fault
+/// plans included), runs the six-pattern self test, and feeds the
+/// verdict to the health ledger. A fault-localizing sweep quarantines the
+/// machine from any serving state and spawns a replacement worker; a
+/// clean sweep builds the streak that clears a suspect, or moves a
 /// quarantined machine to probation.
 fn run_scrub(ctx: &WorkerCtx, index: u64) -> bool {
     let shared = &ctx.shared;
     lock(&shared.workers).insert(index, WorkerState::Scrubbing);
     let n = shared.config.scrubbing.probe_n.max(2);
-    let mut machine = Machine::square(n);
-    if let Some(fm) = shared.plan_faults(index, machine.dim()) {
-        machine.attach_faults(fm);
-    }
-    let report = machine.self_test();
+    let report = match shared.backend() {
+        BackendChoice::Packed => self_test_on(shared, index, Machine::packed_square(n)),
+        BackendChoice::Scalar => self_test_on(shared, index, Machine::square(n)),
+    };
     let healthy = report.is_healthy();
     {
         let mut m = lock(&shared.metrics);
@@ -880,8 +863,11 @@ fn run_scrub(ctx: &WorkerCtx, index: u64) -> bool {
     let transition = lock(&shared.health).scrub(index, healthy);
     match transition {
         Some(MachineHealth::Quarantined) => {
+            // Serving capacity must survive the bench: the replacement
+            // runs before the quarantine is published. This worker lives
+            // on, scrubbing toward re-admission.
+            replace_worker(ctx, "serve.health.replacements");
             lock(&shared.metrics).inc("serve.health.quarantined", 1);
-            let _ = ctx.death_tx.send(Supervise::Benched);
         }
         Some(MachineHealth::Probation) => {
             lock(&shared.metrics).inc("serve.health.probation", 1);
@@ -895,8 +881,16 @@ fn run_scrub(ctx: &WorkerCtx, index: u64) -> bool {
     healthy
 }
 
+fn self_test_on<E: Executor>(shared: &Shared, index: u64, mut machine: Machine<E>) -> FaultReport {
+    if let Some(fm) = shared.plan_faults(index, machine.dim()) {
+        machine.attach_faults(fm);
+    }
+    machine.self_test()
+}
+
 /// One probation probe: a verified solve of a fixed reference graph on
-/// a machine built exactly as this worker builds job machines. Clean
+/// a machine built exactly as this worker builds job machines (service
+/// backend and drill fault plans included). Clean
 /// probes build toward re-admission; a failed probe re-quarantines.
 /// Off the serving hot path, so host verification is fine here.
 fn run_probe(ctx: &WorkerCtx, index: u64) {
@@ -905,13 +899,14 @@ fn run_probe(ctx: &WorkerCtx, index: u64) {
     let n = shared.config.scrubbing.probe_n.max(4);
     let w = ppa_graph::gen::random_connected(n, 0.5, 9, 0x09ED);
     let word_bits = mcp::fit_word_bits(&w).clamp(2, 62);
-    let mut ppa = Ppa::square(n).with_word_bits(word_bits);
-    if let Some(fm) = shared.plan_faults(index, ppa.machine().dim()) {
-        ppa.machine_mut().attach_faults(fm);
-    }
-    let clean = McpSession::from_ppa(ppa, &w)
-        .and_then(|mut s| s.solve_verified(0))
-        .is_ok();
+    let clean = match shared.backend() {
+        BackendChoice::Packed => {
+            probe_on(shared, index, Ppa::packed(n).with_word_bits(word_bits), &w)
+        }
+        BackendChoice::Scalar => {
+            probe_on(shared, index, Ppa::square(n).with_word_bits(word_bits), &w)
+        }
+    };
     {
         let mut m = lock(&shared.metrics);
         m.inc("serve.health.probes", 1);
@@ -930,6 +925,15 @@ fn run_probe(ctx: &WorkerCtx, index: u64) {
         _ => {}
     }
     lock(&shared.workers).insert(index, WorkerState::Idle);
+}
+
+fn probe_on<E: Executor>(shared: &Shared, index: u64, mut ppa: Ppa<E>, w: &WeightMatrix) -> bool {
+    if let Some(fm) = shared.plan_faults(index, ppa.machine().dim()) {
+        ppa.machine_mut().attach_faults(fm);
+    }
+    McpSession::from_ppa(ppa, w)
+        .and_then(|mut s| s.solve_verified(0))
+        .is_ok()
 }
 
 /// Records a corruption-class failure against this worker's machine.
@@ -1001,6 +1005,7 @@ fn run_batch_on_worker(
         }
         Err(payload) => {
             lock(&ctx.shared.workers).remove(&index);
+            replace_worker(ctx, "serve.workers_replaced");
             let message = panic_message(payload);
             {
                 let mut m = lock(&ctx.shared.metrics);
@@ -1021,7 +1026,6 @@ fn run_batch_on_worker(
                     latency: submitted.elapsed(),
                 });
             }
-            let _ = ctx.death_tx.send(Supervise::Died);
             false
         }
     }
@@ -1148,11 +1152,11 @@ fn flush_held(
 }
 
 /// Executes a coalesced wave: per-lane queued gates, one
-/// [`BatchSession`] solve on the routed backend with each job's budget
+/// [`BatchSession`] solve on the service backend with each job's budget
 /// and cancel token as its lane limit, then per-lane error mapping
 /// identical to the solo path. A corrupted lane (or a whole-wave
-/// machine failure) falls back to [`run_job`] so the retry/breaker
-/// machinery treats it exactly like a solo corruption.
+/// machine failure) falls back to [`run_job`] so the retry machinery
+/// treats it exactly like a solo corruption.
 fn run_batch(
     ctx: &WorkerCtx,
     index: u64,
@@ -1209,7 +1213,7 @@ fn run_batch(
     }
 
     if !live.is_empty() {
-        let backend = route_backend(ctx);
+        let backend = shared.backend();
         let graphs: Vec<WeightMatrix> = live
             .iter()
             .map(|&i| slots[i].as_ref().expect("live slot").spec.graph.clone())
@@ -1253,10 +1257,7 @@ fn run_batch(
             Err(_whole_wave) => {
                 // A machine-global failure takes down every lane at once;
                 // rather than inventing per-lane results, each job re-runs
-                // on the solo path with its full retry/breaker treatment.
-                if backend == BackendChoice::Packed && lock(&shared.breaker).record_failure() {
-                    lock(&shared.metrics).inc("serve.breaker.trips", 1);
-                }
+                // on the solo path with its full retry treatment.
                 lock(&shared.metrics).inc("serve.batch.fallback_single", live.len() as u64);
                 for &i in &live {
                     let job = slots[i].take().expect("live slot");
@@ -1264,22 +1265,18 @@ fn run_batch(
                 }
             }
             Ok(wave) => {
-                let mut fast_success = false;
                 for (&i, lane) in live.iter().zip(wave) {
                     let job = slots[i].take().expect("live slot");
                     let report = match lane {
-                        Ok(out) => {
-                            fast_success = true;
-                            finish(
-                                ctx,
-                                &job,
-                                Ok(JobOutcome::Shortest(out)),
-                                1,
-                                Some(backend),
-                                false,
-                                None,
-                            )
-                        }
+                        Ok(out) => finish(
+                            ctx,
+                            &job,
+                            Ok(JobOutcome::Shortest(out)),
+                            1,
+                            Some(backend),
+                            false,
+                            None,
+                        ),
                         Err(e) if e.is_cancelled() => {
                             let cause = if lock(&shared.client_cancelled).contains(&job.id) {
                                 ServeError::Cancelled
@@ -1303,11 +1300,6 @@ fn run_batch(
                             )
                         }
                         Err(e) if e.indicates_corruption() => {
-                            if backend == BackendChoice::Packed
-                                && lock(&shared.breaker).record_failure()
-                            {
-                                lock(&shared.metrics).inc("serve.breaker.trips", 1);
-                            }
                             lock(&shared.metrics).inc("serve.batch.fallback_single", 1);
                             run_job(ctx, index, job, rng)
                         }
@@ -1322,9 +1314,6 @@ fn run_batch(
                         ),
                     };
                     reports[i] = Some(report);
-                }
-                if fast_success && backend == BackendChoice::Packed {
-                    lock(&shared.breaker).record_success();
                 }
             }
         }
@@ -1393,26 +1382,6 @@ fn drive_redundant_wave<E: Executor>(
     Ok(outcomes)
 }
 
-fn supervisor_loop(
-    death_rx: Receiver<Supervise>,
-    ctx: WorkerCtx,
-    handles: Arc<Mutex<Vec<JoinHandle<()>>>>,
-) {
-    while let Ok(msg) = death_rx.recv() {
-        match msg {
-            Supervise::Died => {
-                lock(&ctx.shared.metrics).inc("serve.workers_replaced", 1);
-                lock(&handles).push(spawn_worker(ctx.clone()));
-            }
-            Supervise::Benched => {
-                lock(&ctx.shared.metrics).inc("serve.health.replacements", 1);
-                lock(&handles).push(spawn_worker(ctx.clone()));
-            }
-            Supervise::Stop => return,
-        }
-    }
-}
-
 /// Fires cancel tokens when their deadlines pass. Exits when every
 /// sender (worker contexts) is gone.
 fn watchdog_loop(rx: Receiver<(Instant, CancelToken)>) {
@@ -1440,8 +1409,8 @@ fn watchdog_loop(rx: Receiver<(Instant, CancelToken)>) {
     }
 }
 
-/// Executes one job to a report: deadline gate, backend routing, the
-/// attempt/retry loop, APSP checkpointing, and outcome metrics.
+/// Executes one job to a report: deadline gate, the attempt/retry loop,
+/// APSP checkpointing, and outcome metrics.
 fn run_job(ctx: &WorkerCtx, index: u64, job: QueuedJob, rng: &mut SmallRng) -> JobReport {
     let shared = &ctx.shared;
     let config = &shared.config;
@@ -1547,11 +1516,10 @@ fn run_job(ctx: &WorkerCtx, index: u64, job: QueuedJob, rng: &mut SmallRng) -> J
     let redundant_shortest =
         matches!(job.spec.kind, JobKind::Shortest { .. }) && config.redundancy.replicas() > 1;
 
+    let backend = shared.backend();
     let mut attempts = 0u32;
-    let mut backend;
     let outcome = loop {
         attempts += 1;
-        backend = route_backend(ctx);
         let result = if let Some(lanes) = apsp_lanes {
             attempt_apsp_batched(
                 ctx,
@@ -1590,12 +1558,7 @@ fn run_job(ctx: &WorkerCtx, index: u64, job: QueuedJob, rng: &mut SmallRng) -> J
             }
         };
         match result {
-            Ok(out) => {
-                if backend == BackendChoice::Packed {
-                    lock(&shared.breaker).record_success();
-                }
-                break Ok(out);
-            }
+            Ok(out) => break Ok(out),
             Err(e) if e.is_cancelled() => {
                 // The same token serves the deadline watchdog and client
                 // cancels; the client-cancel ledger disambiguates.
@@ -1614,9 +1577,6 @@ fn run_job(ctx: &WorkerCtx, index: u64, job: QueuedJob, rng: &mut SmallRng) -> J
                 // vote flavor) inside the redundant attempt.
                 if !matches!(e, McpError::VoteDisagreement { .. }) {
                     note_sighting(ctx, index, false);
-                }
-                if backend == BackendChoice::Packed && lock(&shared.breaker).record_failure() {
-                    lock(&shared.metrics).inc("serve.breaker.trips", 1);
                 }
                 if attempts <= config.retry.max_retries && !token.is_cancelled() {
                     lock(&shared.metrics).inc("serve.retries", 1);
@@ -1686,63 +1646,10 @@ fn finish(
     }
 }
 
-/// Picks the backend for the next attempt via the circuit breaker,
-/// running the divergence probe when the breaker is half-open.
-fn route_backend(ctx: &WorkerCtx) -> BackendChoice {
-    let config = &ctx.shared.config;
-    if !config.prefer_packed {
-        return BackendChoice::Scalar;
-    }
-    let route = lock(&ctx.shared.breaker).route();
-    match route {
-        Route::Packed => BackendChoice::Packed,
-        Route::Scalar => {
-            lock(&ctx.shared.metrics).inc("serve.breaker.scalar_fallback", 1);
-            BackendChoice::Scalar
-        }
-        Route::ProbeFirst => {
-            lock(&ctx.shared.metrics).inc("serve.breaker.probes", 1);
-            let passed = divergence_probe();
-            lock(&ctx.shared.breaker).probe_result(passed);
-            let mut m = lock(&ctx.shared.metrics);
-            if passed {
-                m.inc("serve.breaker.probe_pass", 1);
-                drop(m);
-                BackendChoice::Packed
-            } else {
-                m.inc("serve.breaker.probe_fail", 1);
-                m.inc("serve.breaker.trips", 1);
-                m.inc("serve.breaker.scalar_fallback", 1);
-                drop(m);
-                BackendChoice::Scalar
-            }
-        }
-    }
-}
-
-/// The half-open health check: solve a fixed reference graph on the
-/// packed backend under probe and on the scalar reference (fresh, clean
-/// machines) and demand bit-identical results — the differential
-/// equivalence the test suites assert statically, run live before packed
-/// traffic resumes.
-fn divergence_probe() -> bool {
-    let w = ppa_graph::gen::random_connected(6, 0.5, 9, 0xD1FF);
-    let probed = McpSession::new_packed(&w).and_then(|mut s| s.solve(0));
-    let scalar = McpSession::new(&w).and_then(|mut s| s.solve(0));
-    match (probed, scalar) {
-        (Ok(a), Ok(b)) => a.sow == b.sow && a.ptn == b.ptn && a.iterations == b.iterations,
-        _ => false,
-    }
-}
-
-/// One solve attempt on a fresh runtime: arms the cancel token, step
-/// budget, and fault injection, then dispatches on the job kind. APSP
-/// campaigns restart from the last *flushed* checkpoint and flush every
-/// `checkpoint_every` completed destinations.
 /// Host-side verification of a widest-path result, mirroring what
 /// [`McpSession::solve_verified`] does for shortest paths: a silently
 /// corrupted run must surface as corruption-class [`McpError`] so the
-/// retry/breaker machinery sees it.
+/// retry machinery sees it.
 ///
 /// Two invariants together pin the result exactly. The capacity vector
 /// must be a Bellman fixed point (`cap[i] = max_j min(edge(i,j),
@@ -1818,7 +1725,7 @@ fn verify_widest(w: &WeightMatrix, out: &WidestOutput) -> Result<(), McpError> {
 /// correction can succeed despite a corrupted replica; an unresolved
 /// disagreement surfaces as corruption-class
 /// [`McpError::VoteDisagreement`] and flows into the ordinary
-/// retry/breaker machinery.
+/// retry machinery.
 fn attempt_shortest_redundant(
     ctx: &WorkerCtx,
     index: u64,
@@ -1910,6 +1817,10 @@ fn drive_redundant_solo<E: Executor>(
     Ok(JobOutcome::Shortest(voted.outcome?))
 }
 
+/// One solve attempt on a fresh runtime: arms the cancel token, step
+/// budget, and fault injection, then dispatches on the job kind. APSP
+/// campaigns restart from the last *flushed* checkpoint and flush every
+/// `checkpoint_every` completed destinations.
 #[allow(clippy::too_many_arguments)]
 fn attempt_on<E: Executor>(
     ctx: &WorkerCtx,
@@ -2093,6 +2004,21 @@ mod tests {
         }
     }
 
+    /// Polls until some job is in flight and returns that snapshot.
+    /// Spins instead of sleeping: under load a sleep can overshoot the
+    /// whole run of a campaign that takes a few milliseconds.
+    fn first_inflight_snapshot(svc: &SolveService) -> Option<Introspection> {
+        let give_up = Instant::now() + Duration::from_secs(10);
+        while Instant::now() < give_up {
+            let snap = svc.introspect();
+            if !snap.inflight.is_empty() {
+                return Some(snap);
+            }
+            thread::yield_now();
+        }
+        None
+    }
+
     #[test]
     fn mixed_batch_solves_to_reference_answers() {
         let w = gen::random_connected(7, 0.4, 9, 11);
@@ -2214,7 +2140,7 @@ mod tests {
 
     #[test]
     fn client_cancel_stops_a_running_job_with_a_typed_error() {
-        let w = gen::random_connected(32, 0.4, 9, 8);
+        let w = gen::random_connected(48, 0.4, 9, 8);
         let svc = SolveService::start(ServeConfig {
             workers: 1,
             ..quick_config()
@@ -2229,12 +2155,10 @@ mod tests {
             ))
             .unwrap();
         // Wait until the worker has picked the campaign up, then cancel.
-        for _ in 0..400 {
-            if !svc.introspect().inflight.is_empty() {
-                break;
-            }
-            thread::sleep(Duration::from_millis(2));
-        }
+        assert!(
+            first_inflight_snapshot(&svc).is_some(),
+            "the campaign never ran"
+        );
         assert!(svc.cancel(ticket.id()), "a running job must be known");
         let report = ticket.wait();
         let err = report.outcome.unwrap_err();
@@ -2320,16 +2244,8 @@ mod tests {
             .unwrap()
             .wait();
         assert!(after.outcome.is_ok(), "service must survive a worker panic");
-        // The supervisor replaces the dead worker asynchronously.
-        let mut replaced = 0;
-        for _ in 0..200 {
-            replaced = svc.metrics().counter("serve.workers_replaced");
-            if replaced == 1 {
-                break;
-            }
-            thread::sleep(Duration::from_millis(5));
-        }
-        assert_eq!(replaced, 1);
+        // The dying worker spawned its replacement before it reported.
+        assert_eq!(svc.metrics().counter("serve.workers_replaced"), 1);
         let metrics = svc.shutdown();
         assert_eq!(metrics.counter("serve.worker_panics"), 1);
     }
@@ -2339,50 +2255,25 @@ mod tests {
         let w = gen::random_connected(6, 0.5, 9, 4);
         let svc = SolveService::start(ServeConfig {
             workers: 1,
-            prefer_packed: false, // keep the breaker out of this test
             ..quick_config()
         });
-        let mut spec = JobSpec::new(w, JobKind::Shortest { dest: 0 });
+        let mut spec = JobSpec::new(w.clone(), JobKind::Shortest { dest: 0 });
         spec.transient_faults = Some((1.0, 99)); // every transfer corrupted
         let report = svc.submit(spec).unwrap().wait();
         assert!(matches!(report.outcome.unwrap_err(), ServeError::Solver(_)));
         let want_attempts = 1 + RetryPolicy::default().max_retries;
         assert_eq!(report.attempts, want_attempts);
-        let metrics = svc.shutdown();
-        assert_eq!(
-            metrics.counter("serve.retries"),
-            u64::from(RetryPolicy::default().max_retries)
-        );
-    }
-
-    #[test]
-    fn breaker_trips_to_scalar_then_probe_recovers_packed() {
-        let w = gen::random_connected(6, 0.5, 9, 4);
-        let svc = SolveService::start(ServeConfig {
-            workers: 1,
-            prefer_packed: true,
-            breaker: BreakerConfig {
-                failure_threshold: 2,
-                cooldown_jobs: 1,
-            },
-            ..quick_config()
-        });
-        // Attempt 1+2 fail packed (trips at threshold 2); attempt 3 routes
-        // scalar (burning the 1-job cooldown -> HalfOpen) and also fails.
-        let mut faulty = JobSpec::new(w.clone(), JobKind::Shortest { dest: 0 });
-        faulty.transient_faults = Some((1.0, 7));
-        let report = svc.submit(faulty).unwrap().wait();
-        assert!(report.outcome.is_err());
-        assert_eq!(report.backend, Some(BackendChoice::Scalar));
-        // Clean job: half-open -> divergence probe passes -> packed again.
+        // Every retry runs on the service backend.
+        assert_eq!(report.backend, Some(BackendChoice::Packed));
+        // Every failed attempt is a sighting against the worker's machine.
+        let snap = svc.introspect();
+        assert_eq!(snap.health[0].fault_sightings, u64::from(want_attempts));
+        // The next clean job runs packed too and returns the reference.
         let clean = svc
             .submit(JobSpec::new(w.clone(), JobKind::Shortest { dest: 0 }))
             .unwrap()
             .wait();
         assert_eq!(clean.backend, Some(BackendChoice::Packed));
-        assert_eq!(svc.breaker_state(), BreakerState::Closed);
-        // The packed answer that came back is the scalar answer: the soak
-        // campaign's silent_wrong: 0 invariant has teeth here too.
         let want = McpSession::new(&w).unwrap().solve_verified(0).unwrap();
         match clean.outcome.unwrap() {
             JobOutcome::Shortest(out) => {
@@ -2392,10 +2283,10 @@ mod tests {
             other => panic!("wrong outcome kind: {other:?}"),
         }
         let metrics = svc.shutdown();
-        assert_eq!(metrics.counter("serve.breaker.trips"), 1);
-        assert_eq!(metrics.counter("serve.breaker.scalar_fallback"), 1);
-        assert_eq!(metrics.counter("serve.breaker.probes"), 1);
-        assert_eq!(metrics.counter("serve.breaker.probe_pass"), 1);
+        assert_eq!(
+            metrics.counter("serve.retries"),
+            u64::from(RetryPolicy::default().max_retries)
+        );
     }
 
     #[test]
@@ -2529,7 +2420,6 @@ mod tests {
         assert!(snap.accepting);
         assert_eq!(snap.workers.len(), 2, "quick_config starts two workers");
         assert!(snap.workers.iter().all(|w| w.job.is_none()));
-        assert_eq!(snap.breaker.state, "closed");
         assert_eq!(snap.retries, 0);
         assert_eq!(snap.workers_replaced, 0);
         assert_eq!(snap.metrics.counter("serve.accepted"), 4);
@@ -2560,7 +2450,7 @@ mod tests {
 
     #[test]
     fn live_snapshot_round_trips_exactly_and_sees_running_jobs() {
-        let w = gen::random_connected(24, 0.4, 9, 23);
+        let w = gen::random_connected(48, 0.4, 9, 23);
         let svc = SolveService::start(ServeConfig {
             workers: 1,
             queue_capacity: 8,
@@ -2575,18 +2465,8 @@ mod tests {
         );
         spec.deadline = Some(Duration::from_secs(60));
         let ticket = svc.submit(spec).unwrap();
-        // Poll until the single worker has picked the job up.
-        let mut seen_running = None;
-        for _ in 0..400 {
-            let snap = svc.introspect();
-            if let Some(job) = snap.inflight.first() {
-                seen_running = Some(snap.clone());
-                let _ = job;
-                break;
-            }
-            thread::sleep(Duration::from_millis(2));
-        }
-        let snap = seen_running.expect("a 24-vertex APSP must be observable in flight");
+        let snap =
+            first_inflight_snapshot(&svc).expect("a 48-vertex APSP must be observable in flight");
         let job = &snap.inflight[0];
         assert_eq!(job.id, ticket.id());
         assert_eq!(job.kind, "apsp");
@@ -2617,15 +2497,8 @@ mod tests {
             report.outcome.unwrap_err(),
             ServeError::WorkerPanicked { .. }
         ));
-        // Wait for the supervisor to install the replacement worker.
-        let mut snap = svc.introspect();
-        for _ in 0..200 {
-            snap = svc.introspect();
-            if snap.workers_replaced == 1 && snap.workers.len() == 2 {
-                break;
-            }
-            thread::sleep(Duration::from_millis(5));
-        }
+        // The dying worker installed its replacement before it reported.
+        let snap = svc.introspect();
         assert_eq!(snap.workers_replaced, 1);
         assert_eq!(snap.workers.len(), 2, "replacement registered");
         assert!(
@@ -2718,8 +2591,24 @@ mod tests {
         // replacement worker) -> clean sweep -> probation -> clean
         // probes -> readmitted.
         let mut metrics = svc.metrics();
+        let mut saw_quarantine = false;
         for _ in 0..2000 {
             metrics = svc.metrics();
+            if !saw_quarantine && metrics.counter("serve.health.quarantined") >= 1 {
+                // The benched worker spawns its replacement before it
+                // publishes the quarantine, so both are visible at once.
+                saw_quarantine = true;
+                assert!(
+                    metrics.counter("serve.health.replacements") >= 1,
+                    "quarantine published before its replacement: {metrics:?}"
+                );
+                let snap = svc.introspect();
+                assert!(
+                    snap.workers.iter().any(|w| w.index >= 1),
+                    "the replacement must be listed: {:?}",
+                    snap.workers
+                );
+            }
             if metrics.counter("serve.health.readmitted") >= 1 {
                 break;
             }
